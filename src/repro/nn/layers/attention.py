@@ -14,7 +14,9 @@ from repro.nn.layers.norm import LayerNorm
 class PositionalEncoding(Layer):
     """Adds sinusoidal position information to a ``(T, D)`` sequence."""
 
-    def _build(self, input_shape, rng):
+    def _build(
+        self, input_shape: tuple[int, ...], rng: np.random.Generator
+    ) -> tuple[int, ...]:
         if len(input_shape) != 2:
             raise ModelError(f"{self.name}: expects (T, D), got {input_shape}")
         timesteps, dim = input_shape
@@ -27,10 +29,10 @@ class PositionalEncoding(Layer):
         self._encoding = encoding
         return input_shape
 
-    def _forward(self, x):
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         return x + self._encoding
 
-    def _aux_ops(self):
+    def _aux_ops(self) -> int:
         return int(np.prod(self.output_shape))
 
 
@@ -43,7 +45,9 @@ class MultiHeadSelfAttention(Layer):
             raise ModelError(f"heads must be positive, got {heads}")
         self.heads = heads
 
-    def _build(self, input_shape, rng):
+    def _build(
+        self, input_shape: tuple[int, ...], rng: np.random.Generator
+    ) -> tuple[int, ...]:
         if len(input_shape) != 2:
             raise ModelError(f"{self.name}: expects (T, D), got {input_shape}")
         __, dim = input_shape
@@ -54,11 +58,11 @@ class MultiHeadSelfAttention(Layer):
         self.params["bo"] = zeros((dim,))
         return input_shape
 
-    def _forward(self, x):
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         n, timesteps, dim = x.shape
         head_dim = dim // self.heads
 
-        def project(name):
+        def project(name: str) -> np.ndarray:
             out = x @ self.params[name]  # (N, T, D)
             return out.reshape(n, timesteps, self.heads, head_dim).transpose(0, 2, 1, 3)
 
@@ -69,13 +73,13 @@ class MultiHeadSelfAttention(Layer):
         merged = context.transpose(0, 2, 1, 3).reshape(n, timesteps, dim)
         return merged @ self.params["wo"] + self.params["bo"]
 
-    def _macs(self):
+    def _macs(self) -> int:
         timesteps, dim = self.input_shape
         projections = 4 * timesteps * dim * dim
         attention = 2 * self.heads * timesteps * timesteps * (dim // self.heads)
         return projections + attention
 
-    def _aux_ops(self):
+    def _aux_ops(self) -> int:
         timesteps, __ = self.input_shape
         return 3 * self.heads * timesteps * timesteps  # softmax work
 
@@ -91,7 +95,9 @@ class TransformerBlock(Layer):
         self._norm1 = LayerNorm(name=f"{self.name}.norm1")
         self._norm2 = LayerNorm(name=f"{self.name}.norm2")
 
-    def _build(self, input_shape, rng):
+    def _build(
+        self, input_shape: tuple[int, ...], rng: np.random.Generator
+    ) -> tuple[int, ...]:
         if len(input_shape) != 2:
             raise ModelError(f"{self.name}: expects (T, D), got {input_shape}")
         __, dim = input_shape
@@ -105,18 +111,18 @@ class TransformerBlock(Layer):
         self.params["b2"] = zeros((dim,))
         return input_shape
 
-    def _forward(self, x):
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         attended = x + self._attention.forward(self._norm1.forward(x))
         hidden = self._norm2.forward(attended) @ self.params["w1"] + self.params["b1"]
         hidden = np.maximum(hidden, 0.0)
         return attended + hidden @ self.params["w2"] + self.params["b2"]
 
-    def _macs(self):
+    def _macs(self) -> int:
         timesteps, dim = self.input_shape
         mlp = 2 * timesteps * dim * dim * self.mlp_ratio
         return self._attention.macs() + mlp
 
-    def _aux_ops(self):
+    def _aux_ops(self) -> int:
         return (
             self._attention.aux_ops()
             + self._norm1.aux_ops()
@@ -124,7 +130,7 @@ class TransformerBlock(Layer):
             + 3 * int(np.prod(self.output_shape))
         )
 
-    def param_count(self):
+    def param_count(self) -> int:
         own = sum(int(np.prod(p.shape)) for p in self.params.values())
         return (
             own

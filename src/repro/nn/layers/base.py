@@ -22,8 +22,9 @@ class Layer(abc.ABC):
 
     def __init__(self, name: str | None = None) -> None:
         self.name = name or type(self).__name__
-        self.input_shape: tuple[int, ...] | None = None
-        self.output_shape: tuple[int, ...] | None = None
+        # Empty until build(); ``_built`` says whether they are real.
+        self.input_shape: tuple[int, ...] = ()
+        self.output_shape: tuple[int, ...] = ()
         self.params: dict[str, np.ndarray] = {}
         self._built = False
 

@@ -22,7 +22,9 @@ class Dense(Layer):
             raise ModelError(f"units must be positive, got {units}")
         self.units = units
 
-    def _build(self, input_shape, rng):
+    def _build(
+        self, input_shape: tuple[int, ...], rng: np.random.Generator
+    ) -> tuple[int, ...]:
         if len(input_shape) not in (1, 2):
             raise ModelError(f"{self.name}: Dense expects rank 1 or 2, got {input_shape}")
         features = input_shape[-1]
@@ -32,12 +34,12 @@ class Dense(Layer):
         self.params["bias"] = zeros((self.units,))
         return (*input_shape[:-1], self.units)
 
-    def _forward(self, x):
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         return x @ self.params["weight"] + self.params["bias"]
 
-    def _macs(self):
+    def _macs(self) -> int:
         timesteps = self.input_shape[0] if len(self.input_shape) == 2 else 1
         return timesteps * self.input_shape[-1] * self.units
 
-    def _aux_ops(self):
+    def _aux_ops(self) -> int:
         return int(np.prod(self.output_shape))  # bias adds

@@ -46,10 +46,12 @@ class InceptionModule(Layer):
         """The three branch pipelines (pool in branch 3 is implicit)."""
         return [self._branch1, self._branch2, self._branch3]
 
-    def _build(self, input_shape, rng):
+    def _build(
+        self, input_shape: tuple[int, ...], rng: np.random.Generator
+    ) -> tuple[int, ...]:
         if len(input_shape) != 3 or input_shape[2] != 1:
             raise ModelError(f"{self.name}: expects (C, T, 1), got {input_shape}")
-        shapes = []
+        shapes: list[tuple[int, ...]] = []
         for branch in (self._branch1, self._branch2):
             shape = input_shape
             for layer in branch:
@@ -65,7 +67,7 @@ class InceptionModule(Layer):
         channels = sum(s[0] for s in shapes)
         return (channels, *shapes[0][1:])
 
-    def _forward(self, x):
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         out1 = self._run(self._branch1, x)
         out2 = self._run(self._branch2, x)
         pooled = self._same_maxpool_time(x, size=3)
@@ -73,33 +75,38 @@ class InceptionModule(Layer):
         return np.concatenate([out1, out2, out3], axis=1)
 
     @staticmethod
-    def _run(branch, x):
+    def _run(branch: list[Layer], x: np.ndarray) -> np.ndarray:
         for layer in branch:
             x = layer.forward(x)
         return x
 
     @staticmethod
     def _same_maxpool_time(x: np.ndarray, size: int) -> np.ndarray:
-        """Stride-1 'same' max pool along the time (H) axis."""
-        pad = size // 2
-        padded = np.pad(
-            x, ((0, 0), (0, 0), (pad, size - 1 - pad), (0, 0)), constant_values=-np.inf
-        )
-        stacked = np.stack(
-            [padded[:, :, k : k + x.shape[2], :] for k in range(size)], axis=0
-        )
-        return stacked.max(axis=0)
+        """Stride-1 'same' max pool along the time (H) axis.
 
-    def _macs(self):
+        Each output step is the maximum over the ``size`` input steps
+        centred on it; steps past either edge are left out, as if padded
+        with ``-inf``.
+        """
+        before = size // 2
+        out = x.copy()
+        for shift in range(-before, size - before):
+            if shift < 0:
+                np.maximum(out[:, :, -shift:], x[:, :, :shift], out=out[:, :, -shift:])
+            elif shift > 0:
+                np.maximum(out[:, :, :-shift], x[:, :, shift:], out=out[:, :, :-shift])
+        return out
+
+    def _macs(self) -> int:
         return sum(
             layer.macs() for branch in self.branches for layer in branch
         )
 
-    def _aux_ops(self):
+    def _aux_ops(self) -> int:
         pool = 2 * int(np.prod(self.input_shape))
         return pool + sum(
             layer.aux_ops() for branch in self.branches for layer in branch
         )
 
-    def param_count(self):
+    def param_count(self) -> int:
         return sum(layer.param_count() for branch in self.branches for layer in branch)

@@ -15,19 +15,21 @@ class LayerNorm(Layer):
         super().__init__(name)
         self.epsilon = epsilon
 
-    def _build(self, input_shape, rng):
+    def _build(
+        self, input_shape: tuple[int, ...], rng: np.random.Generator
+    ) -> tuple[int, ...]:
         features = input_shape[-1]
         self.params["gamma"] = np.ones((features,), dtype=np.float32)
         self.params["beta"] = zeros((features,))
         return input_shape
 
-    def _forward(self, x):
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         normed = (x - mean) / np.sqrt(var + self.epsilon)
         return normed * self.params["gamma"] + self.params["beta"]
 
-    def _aux_ops(self):
+    def _aux_ops(self) -> int:
         # mean, variance, normalise, scale+shift: ~5 elementwise passes.
         return 5 * int(np.prod(self.output_shape))
 
@@ -43,7 +45,9 @@ class BatchNormInference(Layer):
         super().__init__(name)
         self.epsilon = epsilon
 
-    def _build(self, input_shape, rng):
+    def _build(
+        self, input_shape: tuple[int, ...], rng: np.random.Generator
+    ) -> tuple[int, ...]:
         channels = input_shape[0]
         self.params["gamma"] = np.ones((channels,), dtype=np.float32)
         self.params["beta"] = zeros((channels,))
@@ -51,7 +55,7 @@ class BatchNormInference(Layer):
         self.params["running_var"] = np.ones((channels,), dtype=np.float32)
         return input_shape
 
-    def _forward(self, x):
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         shape = (1, -1) + (1,) * (x.ndim - 2)
         mean = self.params["running_mean"].reshape(shape)
         var = self.params["running_var"].reshape(shape)
@@ -59,5 +63,5 @@ class BatchNormInference(Layer):
         beta = self.params["beta"].reshape(shape)
         return (x - mean) / np.sqrt(var + self.epsilon) * gamma + beta
 
-    def _aux_ops(self):
+    def _aux_ops(self) -> int:
         return 4 * int(np.prod(self.output_shape))

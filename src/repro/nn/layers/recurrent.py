@@ -26,7 +26,9 @@ class LSTM(Layer):
         self.units = units
         self.return_sequences = return_sequences
 
-    def _build(self, input_shape, rng):
+    def _build(
+        self, input_shape: tuple[int, ...], rng: np.random.Generator
+    ) -> tuple[int, ...]:
         if len(input_shape) != 2:
             raise ModelError(f"{self.name}: LSTM expects (T, F), got {input_shape}")
         __, features = input_shape
@@ -44,7 +46,7 @@ class LSTM(Layer):
             return (input_shape[0], h)
         return (h,)
 
-    def _forward(self, x):
+    def _forward(self, x: np.ndarray) -> np.ndarray:
         n, timesteps, __ = x.shape
         h_units = self.units
         kernel = self.params["kernel"]
@@ -68,12 +70,12 @@ class LSTM(Layer):
                 outputs[:, t, :] = h
         return outputs if outputs is not None else h
 
-    def _macs(self):
+    def _macs(self) -> int:
         timesteps, features = self.input_shape
         h = self.units
         return timesteps * (features * 4 * h + h * 4 * h)
 
-    def _aux_ops(self):
+    def _aux_ops(self) -> int:
         timesteps, __ = self.input_shape
         # 3 sigmoids + 2 tanh + 3 hadamard products + adds per unit per step.
         return timesteps * self.units * 10

@@ -2,8 +2,8 @@
 
 The offload engine converts each tick's LOB snapshot into a feature
 vector (market-protocol integers → BF16), Z-score-normalises it against
-statistics fitted on historical data, stacks the most recent ``window``
-vectors in a FIFO to form the model's 2-D input feature map, and queues
+statistics fitted on historical data, keeps the most recent ``window``
+vectors in a FIFO window to form the model's 2-D input feature map, and queues
 the resulting query for the DNN pipeline.  It also owns stale-query
 management: queries whose deadline has passed are dropped before wasting
 accelerator time, and the oldest query is evicted when the scheduler
@@ -96,7 +96,13 @@ class OffloadEngine:
         self.window = window
         self.max_pending = max_pending
         self.store_tensors = store_tensors
-        self._fifo: deque[np.ndarray] = deque(maxlen=window)
+        # FIFO window as a double-write ring: vector k lands in rows
+        # k % window and k % window + window, so the last ``window``
+        # vectors, oldest first, are always one contiguous slice.
+        # Allocated on the first stored vector (its length and dtype).
+        self._ring: np.ndarray | None = None
+        self._head = 0  # ring row the next vector goes to
+        self._filled = 0  # vectors in the window, capped at ``window``
         self._pending: deque[Query] = deque()
         # Lower bound on min(q.deadline for q in _pending); lets drop_stale
         # skip its scan while now < bound (removals only raise the true
@@ -123,7 +129,10 @@ class OffloadEngine:
 
         During the first ``window - 1`` ticks there is not yet a full
         input feature map, so no query is generated (the FIFO warms up).
+        Timing-only mode (``store_tensors=False``) counts the warm-up the
+        same way without materialising data.
         """
+        window = self.window
         if self.store_tensors:
             vector = snapshot.feature_vector()
             if not np.isfinite(vector).all():
@@ -134,16 +143,23 @@ class OffloadEngine:
                 return None
             if self.stats is not None:
                 vector = self.stats.apply(vector)
-            self._fifo.append(vector)
-            if len(self._fifo) < self.window:
+            ring = self._ring
+            if ring is None:
+                ring = self._ring = np.empty((2 * window, vector.shape[0]), vector.dtype)
+            head = self._head
+            ring[head] = vector
+            ring[head + window] = vector
+            self._head = head + 1 if head + 1 < window else 0
+        if self._filled < window:
+            self._filled += 1
+            if self._filled < window:
                 return None
-            tensor = np.stack(self._fifo)
-        else:
-            # Timing-only mode: track warm-up without materialising data.
-            self._fifo.append(np.empty(0))
-            if len(self._fifo) < self.window:
-                return None
-            tensor = None
+        tensor: np.ndarray | None = None
+        ring = self._ring  # allocated exactly when tensors are stored
+        if ring is not None:
+            # The oldest vector sits at the next write row; copy so later
+            # ticks never change a tensor already handed out.
+            tensor = ring[self._head : self._head + window].copy()
 
         query = Query(
             query_id=self._next_id,

@@ -111,6 +111,19 @@ class TestConv2D:
         with pytest.raises(ModelError):
             build(Conv2D(8, (200, 1), padding="valid"), (1, 100, 40))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"kernel_size": (0, 1)},
+            {"kernel_size": (2, -1)},
+            {"kernel_size": (2, 1), "stride": (0, 1)},
+            {"kernel_size": (2, 1), "stride": (1, 0)},
+        ],
+    )
+    def test_non_positive_kernel_or_stride_rejected(self, kwargs):
+        with pytest.raises(ModelError, match="must be positive"):
+            Conv2D(4, **kwargs)
+
 
 class TestCausalConv1D:
     def test_causality(self):
@@ -149,6 +162,14 @@ class TestPoolingAndShape:
     def test_maxpool_too_large_rejected(self):
         with pytest.raises(ModelError):
             build(MaxPool2D((8, 1)), (1, 4, 4))
+
+    @pytest.mark.parametrize(
+        "pool_size, stride",
+        [((2, 0), None), ((0, 2), None), ((2, 1), (0, 1)), ((2, 1), (1, -1))],
+    )
+    def test_maxpool_non_positive_size_or_stride_rejected(self, pool_size, stride):
+        with pytest.raises(ModelError, match="must be positive"):
+            MaxPool2D(pool_size, stride=stride)
 
     def test_flatten(self):
         layer = build(Flatten(), (3, 4, 5))

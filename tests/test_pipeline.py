@@ -121,6 +121,77 @@ class TestOffloadEngine:
             OffloadEngine(window=1).pop_batch(0)
 
 
+def varied_snapshot(i):
+    """A snapshot whose feature vector differs from its neighbours'."""
+    bid = 17_900 + (i * 7) % 41
+    return DepthSnapshot(
+        symbol="ESU6",
+        timestamp=i,
+        depth=10,
+        bids=((bid, 1 + i % 5), (bid - 1, 2 + i % 3)),
+        asks=((bid + 2, 1 + i % 4), (bid + 3, 1 + i % 6)),
+    )
+
+
+class TestOffloadWindow:
+    """The FIFO window against ``np.stack`` of the last ``window`` vectors."""
+
+    @pytest.fixture(scope="class")
+    def stats(self):
+        return NormalizationStats.fit(generate_session(duration_s=1.0, seed=3))
+
+    @pytest.mark.parametrize("window", [1, 3, 100])
+    def test_tensor_is_stack_of_last_window_vectors(self, stats, window):
+        engine = OffloadEngine(stats, window=window, store_tensors=True)
+        vectors = []
+        for i in range(2 * window + 7):  # wraps the ring more than twice
+            snap = varied_snapshot(i)
+            vectors.append(stats.apply(snap.feature_vector()))
+            query = engine.on_tick(snap, i, i + 100)
+            if i < window - 1:
+                assert query is None
+                continue
+            expected = np.stack(vectors[-window:])
+            assert query.tensor.dtype == expected.dtype
+            assert query.tensor.shape == expected.shape
+            assert np.array_equal(query.tensor, expected)
+
+    def test_returned_tensor_unchanged_by_later_ticks(self, stats):
+        engine = OffloadEngine(stats, window=3, store_tensors=True)
+        tensors = []
+        for i in range(12):
+            query = engine.on_tick(varied_snapshot(i), i, i + 100)
+            if query is not None:
+                tensors.append((query.tensor, query.tensor.copy()))
+        assert len(tensors) == 10
+        for tensor, snapshot_copy in tensors:
+            assert np.array_equal(tensor, snapshot_copy)
+
+    def test_rejected_tick_leaves_window_untouched(self):
+        engine = OffloadEngine(window=3, store_tensors=True)
+        bad = DepthSnapshot(
+            symbol="ESU6", timestamp=0, depth=10, bids=((float("inf"), 5),), asks=()
+        )
+        accepted = []
+        for i in range(8):
+            if i in (1, 5):
+                assert engine.on_tick(bad, i, i + 100) is None
+            snap = varied_snapshot(i)
+            accepted.append(snap.feature_vector())
+            query = engine.on_tick(snap, i, i + 100)
+            if len(accepted) < 3:
+                assert query is None
+            else:
+                assert np.array_equal(query.tensor, np.stack(accepted[-3:]))
+        assert engine.rejected_corrupt == 2
+
+    def test_timing_only_mode_counts_the_same_warm_up(self):
+        engine = OffloadEngine(window=4)
+        queries = [engine.on_tick(snapshot(i), i, i + 100) for i in range(6)]
+        assert queries[:3] == [None, None, None]
+        assert all(q is not None and q.tensor is None for q in queries[3:])
+
+
 class TestTradingEngine:
     def probs(self, prediction, confidence=0.8):
         p = np.full(3, (1 - confidence) / 2)
@@ -418,7 +489,7 @@ class TestCorruptVectorRejection:
         )
         assert engine.on_tick(bad, 0, 1_000) is None
         assert engine.rejected_corrupt == 1
-        assert len(engine._fifo) == 0  # nothing contaminated the FIFO
+        assert engine._filled == 0  # nothing entered the FIFO window
 
     def test_finite_vectors_unaffected(self):
         engine = OffloadEngine(window=2, store_tensors=True)

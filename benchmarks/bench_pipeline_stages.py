@@ -5,8 +5,7 @@ The LOB section additionally persists ``benchmarks/results/
 BENCH_lob_speed.json`` — a run manifest whose deterministic ``lob.*``
 metric counters come from a pinned replay (CI diffs it against the
 committed baseline) and whose ``perf`` section records the measured
-single-book ops/s (reference vs array, per-op vs batch) and the batched
-multi-book scaling ratio.
+single-book ops/s (reference vs array, per-op vs batch).
 
 The market-generation section persists ``BENCH_market_gen.json`` the
 same way: deterministic ``lob.*`` counters from a pinned fast-path
@@ -25,8 +24,6 @@ from conftest import RESULTS_DIR
 from repro.errors import MatchingError, OrderBookError
 from repro.lob import (
     ArrayMatchingEngine,
-    BatchedBooks,
-    BookOps,
     MatchingEngine,
     OpBatch,
     Order,
@@ -35,7 +32,6 @@ from repro.lob import (
     TimeInForce,
 )
 from repro.lob.array_matching import OP_CANCEL, OP_SUBMIT
-from repro.lob.batched import OP_LIMIT, OP_MARKET, OP_NOP, OP_REDUCE
 from repro.lob.snapshot import DepthSnapshot
 from repro.market import MarketConfig, MarketSimulator, cached_session, generate_session
 from repro.metrics import MetricRegistry
@@ -120,7 +116,7 @@ def test_bench_compiler(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# LOB engines: reference vs struct-of-arrays, single-book and batched
+# LOB engines: reference vs struct-of-arrays, per-op and batch kernel
 # ---------------------------------------------------------------------------
 
 # Pinned stream for BENCH_lob_speed.json: seed and size fixed so the
@@ -410,65 +406,3 @@ def test_bench_market_gen(benchmark, record_table, monkeypatch):
     # Calibrated gates; see the docstring for measured headroom.
     assert speedup >= 3.0, rates
     assert per_op_ratio >= 1.0, rates
-
-
-def test_bench_lob_batched_scaling(benchmark, record_table):
-    """Adding books to BatchedBooks must cost well under linear."""
-
-    def step_cost(n_books, n_steps=60):
-        rng = np.random.default_rng(5)
-        books = BatchedBooks(n_books)
-        all_ops = []
-        for _ in range(n_steps):
-            kind = rng.choice(
-                [OP_LIMIT, OP_MARKET, OP_REDUCE, OP_NOP],
-                size=n_books,
-                p=[0.65, 0.1, 0.15, 0.1],
-            ).astype(np.int64)
-            all_ops.append(
-                BookOps(
-                    kind=kind,
-                    side=rng.integers(0, 2, n_books).astype(np.int64),
-                    price=rng.integers(95, 106, n_books).astype(np.int64),
-                    qty=rng.integers(1, 10, n_books).astype(np.int64),
-                    tif=rng.choice([0, 1, 2], size=n_books, p=[0.6, 0.3, 0.1]).astype(
-                        np.int64
-                    ),
-                )
-            )
-        t0 = time.perf_counter()
-        for ops in all_ops:
-            books.step(ops)
-        return (time.perf_counter() - t0) / n_steps
-
-    costs = {}
-
-    def measure():
-        costs["single_s"] = min(step_cost(1) for _ in range(3))
-        costs["wide_s"] = min(step_cost(64) for _ in range(3))
-        return costs
-
-    benchmark.pedantic(measure, rounds=1, iterations=1)
-    per_book_ratio = (costs["wide_s"] / 64) / costs["single_s"]
-    record_table(
-        "lob_batched",
-        "BatchedBooks step cost (random op per book per step)\n"
-        f"  1 book:   {costs['single_s'] * 1e6:,.0f} us/step\n"
-        f"  64 books: {costs['wide_s'] * 1e6:,.0f} us/step\n"
-        f"  per-book cost vs single: {per_book_ratio:.3f}x (sublinear < 0.5)",
-    )
-    payload = {
-        "batched_single_step_s": costs["single_s"],
-        "batched_wide_step_s": costs["wide_s"],
-        "batched_n_books": 64,
-        "batched_per_book_ratio": per_book_ratio,
-    }
-    path = RESULTS_DIR / "BENCH_lob_speed.json"
-    if path.exists():
-        import json
-
-        manifest = json.loads(path.read_text())
-        manifest.setdefault("perf", {}).update(payload)
-        write_manifest(path, manifest)
-    # Calibrated gate: measured ~0.05x; 0.5 keeps wide noise headroom.
-    assert per_book_ratio < 0.5, costs

@@ -15,6 +15,7 @@ drives write a per-run JSONL telemetry trace there (rendered with
 """
 
 import pathlib
+import sys
 
 import pytest
 
@@ -22,6 +23,13 @@ from repro import envcfg
 from repro.telemetry import TRACE_DIR_ENV, configure_logging
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+# bench_sim_speed times the test-only Algorithm-1 oracle
+# (tests/sweep_oracle.py): make the repository root importable however
+# pytest was launched.
+_REPO_ROOT = str(pathlib.Path(__file__).resolve().parent.parent)
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -93,7 +93,7 @@ class LightTraderProfile(SystemProfile):
     name: str = "lighttrader"
     supports_dvfs: bool = True
     # (model, table points, max_batch) -> SweepGrid; decision tables the
-    # vectorized Algorithm-1 sweep evaluates instead of the scalar oracle.
+    # Algorithm-1 grid sweep evaluates instead of the scalar oracle.
     _sweep_grids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def cost(self, model: str) -> ModelCost:
@@ -116,8 +116,8 @@ class LightTraderProfile(SystemProfile):
         """Cached :class:`~repro.core.sweepgrid.SweepGrid` for ``model``.
 
         Grids are built once per (model, DVFS table, max batch) from the
-        same scalar ``t_total_ns``/``power_w`` calls the reference sweep
-        makes, so the cached values are bit-identical to on-the-fly ones.
+        profile's own scalar ``t_total_ns``/``power_w`` calls, so the
+        cached values are bit-identical to on-the-fly ones.
         """
         from repro.core.sweepgrid import SweepGrid
 

@@ -744,8 +744,7 @@ def run_profile(
 
     The system profile (model-cost calibration, sweep grids) and the
     workload are warmed *before* the profiler starts, so the report shows
-    the steady-state event loop — the thing ``REPRO_FAST_LOOP``
-    optimises — rather than one-time setup cost.  ``out_path``
+    the steady-state event loop rather than one-time setup cost.  ``out_path``
     additionally writes the report to disk (the committed snapshot lives
     at ``benchmarks/results/profile.txt``).
     """
@@ -776,8 +775,7 @@ def run_profile(
         f"# cProfile (top {top} by cumulative time) of one warmed ws+ds "
         f"back-test\n"
         f"# model={model} n_accelerators={n_accelerators} "
-        f"duration={duration:g}s queries={len(workload)} "
-        f"fast_loop={'1' if envcfg.get_bool(envcfg.FAST_LOOP.name) else '0'}\n"
+        f"duration={duration:g}s queries={len(workload)}\n"
         f"# {result.describe()}\n"
     )
     report = header + buffer.getvalue()

@@ -60,9 +60,9 @@ class DVFSScheduler:
         init=False, repr=False, compare=False, default_factory=dict
     )
     # Observability: lifetime counts folded into the run's MetricRegistry.
-    # reclaims / boost_transitions / save_transitions are parity-held
-    # (both event pumps drive them identically); redistribute_calls is an
-    # ``impl.`` diagnostic (the fast pump gates redistribution by epoch).
+    # reclaims / boost_transitions / save_transitions are behaviour;
+    # redistribute_calls is an ``impl.`` diagnostic (the event pump gates
+    # redistribution by cluster epoch).
     stats: dict[str, int] = field(
         compare=False,
         repr=False,

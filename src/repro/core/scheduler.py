@@ -7,18 +7,13 @@ both the available time and the power budget, and commits the candidate
 with the highest PPW.  If no pair is feasible the oldest input tensor is
 removed from the offload engine (deferred to the conventional pipeline).
 
-Two sweep implementations coexist:
-
-- the **vectorized** sweep (default) evaluates feasibility masks and the
-  metric argmax against a precomputed
-  :class:`~repro.core.sweepgrid.SweepGrid`, and
-- the **reference** loop, the line-for-line Algorithm 1 transcription,
-  kept as the golden model (``REPRO_SWEEP_REFERENCE=1`` or
-  ``vectorized=False`` selects it).
-
-Both are decision-for-decision identical — same candidate, same
-tie-breaking, same decision-log counts — which the sweep-parity tests
-enforce over randomized profiles, deadlines and budgets.
+The sweep evaluates two feasibility masks and a masked metric argmax
+against a precomputed :class:`~repro.core.sweepgrid.SweepGrid`.  It is
+decision-for-decision identical to the line-for-line Algorithm-1 loop —
+same candidate, same tie-breaking, same decision-log counts — which the
+sweep-parity tests enforce against that loop (kept in
+``tests/sweep_oracle.py``) over randomized profiles, deadlines and
+budgets.
 """
 
 from __future__ import annotations
@@ -28,7 +23,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import envcfg
 from repro.accelerator.power import DVFSTable, OperatingPoint
 from repro.baselines.profiles import LightTraderProfile
 from repro.core.ppw import ppw
@@ -39,18 +33,16 @@ from repro.hotpath import hot_path
 if TYPE_CHECKING:
     from repro.telemetry.decisions import DecisionLog
 
-# Set to "1" to force the reference (golden-model) Algorithm-1 loop.
-SWEEP_REFERENCE_ENV = envcfg.SWEEP_REFERENCE.name
+# Candidate-ranking metrics: 'ppw' (the paper's Algorithm 1), 'latency'
+# (minimise t_total) and 'throughput' (maximise batch/t_total); the
+# alternatives exist for the ablation study.
+SCHEDULER_METRICS = ("ppw", "latency", "throughput")
 
 # Decision-memo size cap: steady-state traffic produces a handful of
 # distinct (depth, floor, cap, budget) signatures, so hitting the cap
 # means the keys are churning (e.g. continuously-varying budgets) and
 # caching is not paying for itself — flush and start over.
 MEMO_MAX_ENTRIES = 4096
-
-
-def _vectorized_default() -> bool:
-    return not envcfg.get_bool(SWEEP_REFERENCE_ENV)
 
 
 @dataclass(frozen=True)
@@ -77,17 +69,12 @@ class WorkloadScheduler:
     profile: LightTraderProfile
     table: DVFSTable
     max_batch: int = 16
-    # Candidate-ranking metric: 'ppw' (the paper's Algorithm 1),
-    # 'latency' (minimise t_total) or 'throughput' (maximise batch/t_total).
-    # The alternatives exist for the ablation study.
+    # Candidate-ranking metric, one of SCHEDULER_METRICS.
     metric: str = "ppw"
-    # Telemetry decision log; when None every sweep runs the uninstrumented
-    # fast path (no per-candidate counting).
+    # Telemetry decision log; when None every sweep skips the
+    # per-candidate counting.
     log: "DecisionLog | None" = field(default=None, compare=False)
-    # False selects the reference Algorithm-1 loop (golden model);
-    # REPRO_SWEEP_REFERENCE=1 flips the default process-wide.
-    vectorized: bool = field(default_factory=_vectorized_default)
-    # Per-(model, floor, cap) filtered sweep tables (vectorized path only).
+    # Per-(model, floor, cap) filtered sweep tables.
     _grids: "dict[tuple[str, float, float | None], tuple[tuple[OperatingPoint, ...], np.ndarray, np.ndarray, np.ndarray]]" = field(
         default_factory=dict, compare=False, repr=False
     )
@@ -112,7 +99,7 @@ class WorkloadScheduler:
     # Observability across the scheduler's lifetime: memo hit/miss
     # counts, memo invalidations, and full Algorithm-1 sweeps executed.
     # Folded into the run's MetricRegistry under the ``impl.`` namespace
-    # (the fast and reference pumps legitimately differ here).
+    # (implementation work, not behaviour).
     memo_stats: "dict[str, int]" = field(
         default_factory=lambda: {
             "hits": 0,
@@ -127,15 +114,8 @@ class WorkloadScheduler:
     def __post_init__(self) -> None:
         if self.max_batch <= 0:
             raise SchedulingError("max_batch must be positive")
-        if self.metric not in ("ppw", "latency", "throughput"):
+        if self.metric not in SCHEDULER_METRICS:
             raise SchedulingError(f"unknown scheduling metric {self.metric!r}")
-
-    def _score(self, batch_size: int, t_total: int, power: float) -> float:
-        if self.metric == "ppw":
-            return ppw(batch_size, t_total, power)
-        if self.metric == "latency":
-            return -float(t_total)
-        return batch_size / (t_total / 1e9)  # throughput
 
     def decide(
         self,
@@ -243,7 +223,7 @@ class WorkloadScheduler:
         cap_freq_hz: float | None = None,
     ) -> ScheduleDecision | None:
         """Memoized :meth:`decide` — bit-identical results and decision-log
-        records, skipping even the vectorized sweep on steady-state hits.
+        records, skipping even the grid sweep on steady-state hits.
 
         Validity argument: every deadline check in the sweep is
         ``now + t_total <= tightest[b]``.  When the *tightest* considered
@@ -251,9 +231,9 @@ class WorkloadScheduler:
         cap-filtered grid)`` away, every such check passes regardless of
         ``now``, so the sweep outcome (and its rejection counts) is a pure
         function of (model, queue depth, floor, cap, budget) — the memo
-        key.  Outside that slack regime, or on the reference sweep path,
-        this falls back to a full :meth:`decide`.  Keys carry the *exact*
-        float budget: a reclaim-perturbed budget simply misses.
+        key.  Outside that slack regime this falls back to a full
+        :meth:`decide`.  Keys carry the *exact* float budget: a
+        reclaim-perturbed budget simply misses.
         """
         if not deadlines:
             raise SchedulingError("decide() called with no pending queries")
@@ -297,18 +277,14 @@ class WorkloadScheduler:
 
     def _memo_horizon(self, model: str, cap_freq_hz: "float | None") -> int:
         """Memo validity horizon (ns) for (model, cap), or -1 when the
-        memo cannot be used (reference sweep path / no grid / empty cap
-        filter)."""
+        memo cannot be used (the cap filters out every point)."""
         key = (model, cap_freq_hz)
         horizon = self._horizons.get(key)
         if horizon is None:
             # Floor 0.0: the horizon must cover the floor-relaxed retry
             # sweep, which considers every point at or under the cap.
-            tables = self._tables(model, 0.0, cap_freq_hz)
-            if tables is None or tables[1].size == 0:
-                horizon = -1
-            else:
-                horizon = int(tables[1].max())
+            t_total = self._tables(model, 0.0, cap_freq_hz)[1]
+            horizon = int(t_total.max()) if t_total.size else -1
             self._horizons[key] = horizon
         return horizon
 
@@ -322,33 +298,56 @@ class WorkloadScheduler:
         cap_freq_hz: "float | None",
         stats: "dict[str, int] | None" = None,
     ) -> ScheduleDecision | None:
-        tables = self._tables(model, floor_freq_hz, cap_freq_hz)
-        if tables is None:
-            return self._sweep_reference(
-                model, now, tightest, power_budget_w, floor_freq_hz, cap_freq_hz, stats
-            )
-        return self._sweep_vectorized(tables, now, tightest, power_budget_w, stats)
+        """One Algorithm-1 pass over the floor/cap-filtered grid."""
+        points, t_grid, p_grid, score_grid = self._tables(
+            model, floor_freq_hz, cap_freq_hz
+        )
+        n_batches = len(tightest)
+        t_total = t_grid[:, :n_batches]
+        power = p_grid[:, :n_batches]
+        deadline_ok = (now + t_total) <= np.asarray(tightest, dtype=np.int64)
+        power_ok = power <= power_budget_w
+        feasible = deadline_ok & power_ok
+        if stats is not None:
+            stats["considered"] += t_total.size
+            stats["deadline"] += int((~deadline_ok).sum())
+            # Algorithm 1 checks power only after the deadline passes.
+            stats["power"] += int((deadline_ok & ~power_ok).sum())
+            stats["feasible"] += int(feasible.sum())
+        if not feasible.any():
+            return None
+        # argmax returns the first occurrence of the maximum — exactly
+        # Algorithm 1's strict-improvement tie-break over (slowest point
+        # first, smallest batch first).
+        score = score_grid[:, :n_batches]
+        flat = int(np.argmax(np.where(feasible, score, -np.inf)))
+        row, col = divmod(flat, n_batches)
+        return ScheduleDecision(
+            point=points[row],
+            batch_size=col + 1,
+            t_total_ns=int(t_total[row, col]),
+            power_w=float(power[row, col]),
+            ppw=float(score[row, col]),
+        )
 
     def _tables(
         self, model: str, floor_freq_hz: float, cap_freq_hz: "float | None" = None
-    ) -> "tuple[tuple[OperatingPoint, ...], np.ndarray, np.ndarray, np.ndarray] | None":
-        """Floor/cap-filtered (points, t_total, power, score) tables, or
-        None when this scheduler is on the reference path.
+    ) -> "tuple[tuple[OperatingPoint, ...], np.ndarray, np.ndarray, np.ndarray]":
+        """Floor/cap-filtered (points, t_total, power, score) tables.
 
         Scores are sweep-invariant (pure functions of the grid), so they
         are materialised here once per (model, floor, cap) rather than
         per issue; the per-sweep work reduces to two feasibility masks
         and a masked argmax.
         """
-        if not self.vectorized:
-            return None
         key = (model, floor_freq_hz, cap_freq_hz)
         tables = self._grids.get(key)
         if tables is None:
             builder = getattr(self.profile, "sweep_grid", None)
-            if builder is None:  # profile without precomputed tables
-                return None
-            grid: SweepGrid = builder(model, self.table, self.max_batch)
+            if builder is None:  # profile without a grid cache
+                grid = SweepGrid.build(self.profile, model, self.table, self.max_batch)
+            else:
+                grid = builder(model, self.table, self.max_batch)
             keep = np.ones(len(grid.points), dtype=bool)
             if floor_freq_hz > 0.0:
                 keep &= grid.freq_hz >= floor_freq_hz
@@ -363,8 +362,8 @@ class WorkloadScheduler:
                 points = tuple(grid.points[i] for i in rows)
                 t_total = grid.t_total_ns[rows]
                 power = grid.power_w[rows]
-            # Scores reproduce the scalar _score() float operations exactly
-            # (same operands, same IEEE op order), just elementwise.
+            # The scalar metric (core.ppw.ppw for 'ppw') elementwise:
+            # same operands, same IEEE op order, so the same bits.
             batches = np.arange(1, self.max_batch + 1, dtype=np.float64)
             if self.metric == "ppw":
                 score = batches / ((t_total / 1e9) * power)
@@ -375,85 +374,6 @@ class WorkloadScheduler:
             tables = (points, t_total, power, score)
             self._grids[key] = tables
         return tables
-
-    def _sweep_vectorized(
-        self,
-        tables: "tuple[tuple[OperatingPoint, ...], np.ndarray, np.ndarray, np.ndarray]",
-        now: int,
-        tightest: "list[int]",
-        power_budget_w: float,
-        stats: "dict[str, int] | None",
-    ) -> ScheduleDecision | None:
-        points, t_grid, p_grid, score_grid = tables
-        n_batches = len(tightest)
-        t_total = t_grid[:, :n_batches]
-        power = p_grid[:, :n_batches]
-        deadline_ok = (now + t_total) <= np.asarray(tightest, dtype=np.int64)
-        power_ok = power <= power_budget_w
-        feasible = deadline_ok & power_ok
-        if stats is not None:
-            stats["considered"] += t_total.size
-            stats["deadline"] += int((~deadline_ok).sum())
-            # The reference loop checks power only after the deadline passes.
-            stats["power"] += int((deadline_ok & ~power_ok).sum())
-            stats["feasible"] += int(feasible.sum())
-        if not feasible.any():
-            return None
-        # argmax returns the first occurrence of the maximum — exactly the
-        # reference loop's strict-improvement tie-break over (slowest
-        # point first, smallest batch first).
-        score = score_grid[:, :n_batches]
-        flat = int(np.argmax(np.where(feasible, score, -np.inf)))
-        row, col = divmod(flat, n_batches)
-        return ScheduleDecision(
-            point=points[row],
-            batch_size=col + 1,
-            t_total_ns=int(t_total[row, col]),
-            power_w=float(power[row, col]),
-            ppw=float(score[row, col]),
-        )
-
-    def _sweep_reference(
-        self,
-        model: str,
-        now: int,
-        tightest: "list[int]",
-        power_budget_w: float,
-        floor_freq_hz: float,
-        cap_freq_hz: "float | None" = None,
-        stats: "dict[str, int] | None" = None,
-    ) -> ScheduleDecision | None:
-        best: ScheduleDecision | None = None
-        for point in self.table:
-            if point.freq_hz < floor_freq_hz:
-                continue
-            if cap_freq_hz is not None and point.freq_hz > cap_freq_hz + 1e-3:
-                continue
-            for batch_size in range(1, len(tightest) + 1):
-                if stats is not None:
-                    stats["considered"] += 1
-                t_total = self.profile.t_total_ns(model, point, batch_size)
-                if now + t_total > tightest[batch_size - 1]:
-                    if stats is not None:
-                        stats["deadline"] += 1
-                    continue  # would miss a deadline inside the batch
-                power = self.profile.power_w(model, point, batch_size)
-                if power > power_budget_w:
-                    if stats is not None:
-                        stats["power"] += 1
-                    continue
-                if stats is not None:
-                    stats["feasible"] += 1
-                score = self._score(batch_size, t_total, power)
-                if best is None or score > best.ppw:
-                    best = ScheduleDecision(
-                        point=point,
-                        batch_size=batch_size,
-                        t_total_ns=t_total,
-                        power_w=power,
-                        ppw=score,
-                    )
-        return best
 
     def deadline_feasible(self, model: str, now: int, deadline: int) -> bool:
         """True if ANY operating point could serve a batch-1 inference by

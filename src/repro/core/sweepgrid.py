@@ -1,16 +1,18 @@
 """Precomputed Algorithm-1 sweep tables.
 
 ``t_total_ns`` and ``power_w`` are pure functions of
-(model, operating point, batch size), yet the reference Algorithm-1 loop
-re-derives them per candidate on every issue — the back-tester's hottest
-path.  A :class:`SweepGrid` materialises both quantities once per
-(model, DVFS table, max batch) as dense numpy arrays, so a sweep becomes
-two broadcast comparisons and one masked argmax.
+(model, operating point, batch size), yet a line-for-line Algorithm-1
+loop re-derives them per candidate on every issue — the back-tester's
+hottest path.  A :class:`SweepGrid` materialises both quantities once
+per (model, DVFS table, max batch) as dense numpy arrays, so a sweep in
+:class:`~repro.core.scheduler.WorkloadScheduler` becomes two broadcast
+comparisons and one masked argmax.
 
 Every cell is produced by calling the profile's own scalar oracle, which
-makes the grid bit-exact with the reference loop by construction — the
-vectorized sweep is a re-ordering of identical float operations, not a
-re-derivation.
+makes the grid bit-exact with the scalar loop by construction — the
+grid sweep is a re-ordering of identical float operations, not a
+re-derivation.  :meth:`SweepGrid.build` also serves profiles that keep
+no grid cache of their own.
 """
 
 from __future__ import annotations

@@ -11,10 +11,9 @@ EXPERIMENTS.md table instead of letting prose drift from code.
 Semantics are pinned per variable, not per type:
 
 - boolean variables keep their historical parse direction — a
-  default-on switch (``REPRO_FAST_LOOP``) turns off only on an explicit
-  false token (``0``/``false``/``no``), while a default-off switch
-  (``REPRO_SWEEP_REFERENCE``) turns on only on an explicit true token
-  (``1``/``true``/``yes``);
+  default-on switch (``REPRO_MARKET_FAST``) turns off only on an
+  explicit false token (``0``/``false``/``no``), while a default-off
+  switch turns on only on an explicit true token (``1``/``true``/``yes``);
 - numeric variables declare bounds (always clamped into range, the way
   ``REPRO_BENCH_JOBS=0`` has always meant 1) and a parse-error policy:
   ``default`` falls back silently on junk (trace level must never crash
@@ -134,27 +133,6 @@ TRACE_LEVEL = _declare(
         minimum=0,
         maximum=2,
         on_error="default",
-    )
-)
-
-FAST_LOOP = _declare(
-    EnvVar(
-        "REPRO_FAST_LOOP",
-        "bool",
-        True,
-        "Fast back-test event loop (batched admission, decision memo, "
-        "lazy queries). Set 0/false/no to force the bit-identical "
-        "reference pump.",
-    )
-)
-
-SWEEP_REFERENCE = _declare(
-    EnvVar(
-        "REPRO_SWEEP_REFERENCE",
-        "bool",
-        False,
-        "Set 1/true/yes to force the line-for-line Algorithm-1 sweep "
-        "loop (golden model) instead of the vectorized grid.",
     )
 )
 

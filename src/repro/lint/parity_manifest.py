@@ -45,10 +45,10 @@ class FunctionPair:
     compare_branch_tokens: bool = True
     compare_rng_flow: bool = True
     # Subscripted receiver names whose constant string keys must match
-    # (e.g. both sweep loops update stats["considered"|"deadline"|...]).
+    # (e.g. two loops that both update stats["considered"|...]).
     stats_names: tuple[str, ...] = ()
     # Call-target tails whose keyword-argument name sets must match
-    # (e.g. both sweep loops construct ScheduleDecision(point=, ...)).
+    # (e.g. two loops that both construct Decision(point=, ...)).
     ctor_kwargs: tuple[str, ...] = ()
     fast_only_tokens: frozenset[str] = field(default_factory=frozenset)
     reference_only_tokens: frozenset[str] = field(default_factory=frozenset)
@@ -67,35 +67,21 @@ class ClassPair:
 
 
 _BACKTEST = "repro.sim.backtest"
-_SCHEDULER = "repro.core.scheduler"
 _GENERATOR = "repro.market.generator"
 _AGENTS = "repro.market.agents"
 
 PARITY_PAIRS: tuple[FunctionPair | ClassPair, ...] = (
     FunctionPair(
-        name="backtest-lighttrader-loop",
-        switch="REPRO_FAST_LOOP",
-        reference=(_BACKTEST, "Backtester._run_lighttrader"),
-        fast=(_BACKTEST, "Backtester._run_lighttrader_fast"),
-    ),
-    FunctionPair(
         name="backtest-fixed-system-loop",
-        switch="REPRO_FAST_LOOP",
+        # Picked by the run's inputs (fault plan or not), not by a knob.
+        switch=None,
         reference=(_BACKTEST, "Backtester._run_fixed_system"),
         fast=(_BACKTEST, "Backtester._run_fixed_system_fast"),
-        # The fast fixed-system path is queue-free (vectorized over the
-        # arrival arrays) and never touches EventKind; token mirroring
+        # The fast fixed-system path is queue-free (array-driven over the
+        # arrival stream) and never touches EventKind; token mirroring
         # does not apply, RNG-flow parity still does.
         compare_tokens=False,
         compare_branch_tokens=False,
-    ),
-    FunctionPair(
-        name="scheduler-sweep",
-        switch="REPRO_SWEEP_REFERENCE",
-        reference=(_SCHEDULER, "WorkloadScheduler._sweep_reference"),
-        fast=(_SCHEDULER, "WorkloadScheduler._sweep_vectorized"),
-        stats_names=("stats",),
-        ctor_kwargs=("ScheduleDecision",),
     ),
     FunctionPair(
         name="market-generator-loop",

@@ -71,7 +71,7 @@ class NoNondeterminism(Rule):
         "Simulator packages (sim, core, pipeline, faults, market, "
         "accelerator) must be pure functions of their seeds: wall-clock "
         "reads and process-global RNG calls silently break the "
-        "byte-identical loop-parity and fault-replay guarantees. Plumb a "
+        "golden-digest and fault-replay guarantees. Plumb a "
         "seeded numpy Generator or the simulation clock instead."
     )
 

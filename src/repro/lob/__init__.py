@@ -3,8 +3,7 @@
 Two interchangeable engines live here: the object-per-order golden
 reference (:class:`LimitOrderBook` + :class:`MatchingEngine`) and the
 struct-of-arrays fast path (:class:`ArrayBook` +
-:class:`ArrayMatchingEngine`, with :class:`BatchedBooks` stepping N
-independent books in one vectorized pass).  Pick via
+:class:`ArrayMatchingEngine`).  Pick via
 ``REPRO_LOB_ENGINE`` through :func:`make_matching_engine`.
 """
 
@@ -15,7 +14,6 @@ from repro.lob.array_matching import (
     ReplaySession,
     ReplayStats,
 )
-from repro.lob.batched import BatchedBooks, BookOps, StepResult
 from repro.lob.book import BookSide, LimitOrderBook, PriceLevel
 from repro.lob.engine import AnyMatchingEngine, make_matching_engine
 from repro.lob.events import BookUpdate, MarketEvent, TradeTick, UpdateAction
@@ -28,8 +26,6 @@ __all__ = [
     "ArrayBook",
     "ArrayMatchingEngine",
     "ArraySide",
-    "BatchedBooks",
-    "BookOps",
     "BookSide",
     "BookUpdate",
     "CANONICAL_DEPTH",
@@ -49,7 +45,6 @@ __all__ = [
     "ReplaySession",
     "ReplayStats",
     "Side",
-    "StepResult",
     "TimeInForce",
     "TradeTick",
     "UpdateAction",

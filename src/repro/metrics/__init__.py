@@ -26,10 +26,10 @@ bind a sink with :meth:`MetricRegistry.bind_flush` and the hot path's
 interval through the run's existing JSONL trace writer.
 
 Metric names under the ``impl.`` prefix are implementation diagnostics
-(memo hit ratios, redistribution call counts) that legitimately differ
-between the fast and reference event pumps; they are excluded from
+(memo hit ratios, redistribution call counts) that count implementation
+work, not behaviour; they are excluded from
 :meth:`MetricRegistry.public_snapshot`, from flush events, and from the
-regression gate, so loop parity and CI baselines only ever compare
+regression gate, so golden digests and CI baselines only ever compare
 semantically pinned quantities.
 """
 
@@ -291,9 +291,8 @@ class MetricRegistry:
     def public_snapshot(self) -> dict:
         """The snapshot minus ``impl.``-prefixed diagnostics.
 
-        This is the view the loop-parity tests compare between the fast
-        and reference pumps, the view flush events emit, and the view
-        the regression diff gates on.
+        This is the view the golden loop tests digest, the view flush
+        events emit, and the view the regression diff gates on.
         """
         return self._snapshot(include_impl=False)
 

@@ -306,7 +306,7 @@ class OffloadEngine:
 
 
 class PendingIndexStore:
-    """Struct-of-arrays pending queue for the fast back-test loop.
+    """Struct-of-arrays pending queue for the back-test event pumps.
 
     Where :class:`OffloadEngine` queues :class:`Query` objects, this
     store queues *workload row indices*: timestamps and deadlines stay in
@@ -315,11 +315,11 @@ class PendingIndexStore:
     admission hot path allocates nothing per event.  The queue-management
     surface (FIFO order, overflow tail-drop, stale-scan deadline bound,
     ``requeue_front`` fault semantics, drop counters) mirrors the engine
-    exactly; the loop-parity tests hold the two byte-identical.
+    exactly; the golden loop tests pin the runs built on each.
 
     ``admit_run`` is the batched path: it admits a contiguous run of
     arrivals that occur between two scheduling decisions in one call,
-    replaying the per-event admit → stale-scan cadence as one vectorized
+    replaying the per-event admit → stale-scan cadence as one array
     pass with identical drop order and drop timestamps.
     """
 
@@ -335,7 +335,7 @@ class PendingIndexStore:
         self._dl = np.ascontiguousarray(deadlines, dtype=np.int64)
         # Python-int mirrors: O(1) unboxed lookups on the decision path
         # (a numpy scalar index costs ~10x a list index).  Public so the
-        # fast loop's lazy completion path can score queries straight
+        # event pump's lazy completion path can score queries straight
         # from the arrays without materialising Query objects.
         self.ts_list: list[int] = timestamps.tolist()
         self.dl_list: list[int] = self._dl.tolist()
@@ -437,7 +437,7 @@ class PendingIndexStore:
     ) -> list[tuple[int, int]]:
         """Admit workload rows ``[start, stop)`` arriving at
         ``times_ns[k - start]``, replaying the per-event
-        admit → stale-scan cadence in one vectorized pass.
+        admit → stale-scan cadence in one array pass.
 
         Preconditions (the caller's to guarantee): no overflow possible
         (``can_admit_run``), row index == query id (injector-free run),
@@ -611,7 +611,7 @@ class PendingIndexStore:
         if head >= len(buf) or now < self._min_deadline_bound:
             return []
         if len(buf) - head > 32:
-            # Deep queue: one vectorized pass (same FIFO drop order and
+            # Deep queue: one array pass (same FIFO drop order and
             # bound retightening as the scalar scan below).
             pending = np.asarray(buf[head:] if head else buf, dtype=np.int64)
             pending_dl = self._dl[pending]

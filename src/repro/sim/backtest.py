@@ -16,17 +16,15 @@ selected scheduling scheme:
 GPU-based and FPGA-based systems run the same FIFO policy with their own
 profiles, which is exactly the paper's non-batching comparison.
 
-Two event pumps coexist for each system family.  The **reference** pump
-is the golden model: every arrival is a heap event, every decision is a
-fresh Algorithm-1 sweep, and power is sampled after every event.  The
-**fast** pump (default; ``REPRO_FAST_LOOP=0`` selects the reference)
-merges the sorted arrival stream against the heap with a cursor, drains
-arrival runs between scheduling decisions as vectorized slices over a
-struct-of-arrays query store, memoizes Algorithm-1 decisions, gates
-Algorithm-2 redistribution and power sampling on a cluster state epoch,
-and materialises :class:`Query` objects lazily.  The loop-parity tests
-hold the two pumps byte-identical — same :class:`RunResult`, same
-decision log, same traces — at every trace level.
+The LightTrader pump merges the sorted arrival stream against an event
+heap with a cursor, drains arrival runs between scheduling decisions as
+array slices over a struct-of-arrays query store, memoizes Algorithm-1
+decisions, gates Algorithm-2 redistribution and power sampling on a
+cluster state epoch, and materialises :class:`Query` objects lazily.
+Fixed profiles have two pumps, picked by the run's inputs: a queue-free
+one for fault-free runs and an event-heap one that carries the fault
+paths.  ``tests/test_loop_parity.py`` pins every pump against golden
+digests of its results, decision log, traces and metrics.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from repro.metrics.manifest import build_manifest, write_manifest
 from repro.accelerator.power import DVFSTable, OperatingPoint, PowerModel
 from repro.baselines.profiles import LightTraderProfile, SystemProfile
 from repro.core.dvfs import DVFSScheduler
-from repro.core.scheduler import WorkloadScheduler
+from repro.core.scheduler import SCHEDULER_METRICS, WorkloadScheduler
 from repro.errors import SimulationError
 from repro.faults.injector import DUPLICATE, STALLED, FaultInjector
 from repro.faults.plan import (
@@ -68,14 +66,6 @@ from repro.telemetry import (
     run_telemetry,
 )
 
-# Set to "0" (or "false"/"no") to force the reference event pump.
-FAST_LOOP_ENV = envcfg.FAST_LOOP.name
-
-
-def _fast_loop_default() -> bool:
-    return envcfg.get_bool(FAST_LOOP_ENV)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Configuration of one LightTrader back-test run."""
@@ -87,13 +77,20 @@ class SimConfig:
     dvfs_scheduling: bool = False
     max_batch: int = 16
     max_pending: int = 512
-    scheduler_metric: str = "ppw"  # 'ppw' | 'latency' | 'throughput' (ablation)
+    scheduler_metric: str = "ppw"  # one of SCHEDULER_METRICS (ablation)
 
     def __post_init__(self) -> None:
         if self.power_condition not in ("sufficient", "limited"):
             raise SimulationError(f"unknown power condition {self.power_condition!r}")
         if self.n_accelerators <= 0:
             raise SimulationError("need at least one accelerator")
+        if self.max_batch <= 0:
+            raise SimulationError(f"max_batch must be positive, got {self.max_batch}")
+        if self.scheduler_metric not in SCHEDULER_METRICS:
+            raise SimulationError(
+                f"unknown scheduler metric {self.scheduler_metric!r}; "
+                f"known: {', '.join(SCHEDULER_METRICS)}"
+            )
 
     @property
     def budget_w(self) -> float:
@@ -131,7 +128,7 @@ class _Pending:
 
 
 def _make_surrender_batch(state: _Pending, record_drop):
-    """Build the surrender policy shared by both LightTrader pumps.
+    """Build the LightTrader surrender policy (failed or corrupt batches).
 
     A query is still live while its original deadline has not passed
     (``deadline > now``; negative deadlines never expire) — re-issue
@@ -164,7 +161,7 @@ def _make_fault_handler(
     queue: EventQueue,
     surrender_batch,
 ):
-    """Build the LightTrader fault-event policy (shared by both pumps)."""
+    """Build the LightTrader fault-event policy."""
 
     def handle_fault(now: int, event: FaultEvent) -> None:
         device = cluster.devices[event.accel_id] if event.accel_id >= 0 else None
@@ -277,10 +274,9 @@ def _make_fault_handler(
 def _fold_registry(registry: MetricRegistry, state: _Pending) -> None:
     """Fold end-of-run counters from the engines into the registry.
 
-    Everything here is parity-held state (the loop-parity tests hold the
-    queues, devices and decision logs byte-identical between pumps)
-    except the ``impl.``-prefixed diagnostics, which legitimately differ
-    (the fast pump memoizes sweeps and epoch-gates redistribution).
+    Everything here is behaviour (the golden loop tests pin it) except
+    the ``impl.``-prefixed diagnostics, which count implementation work
+    (memoized sweeps, epoch-gated redistribution calls).
     """
     if not registry.enabled:
         return
@@ -348,7 +344,6 @@ class Backtester:
         config: SimConfig | None = None,
         telemetry: Telemetry | None = None,
         faults: FaultPlan | None = None,
-        fast_loop: bool | None = None,
         metrics: MetricRegistry | None = None,
     ) -> None:
         self.workload = workload
@@ -363,9 +358,6 @@ class Backtester:
         # by ``injector is not None``.
         self.faults = faults if faults is not None and not faults.empty else None
         self._is_lighttrader = isinstance(profile, LightTraderProfile)
-        # None defers to REPRO_FAST_LOOP at run time; an explicit bool
-        # pins this instance (the parity tests run both pumps this way).
-        self.fast_loop = fast_loop
         self.last_metrics: MetricsCollector | None = None
         self.last_run_metrics: MetricRegistry | None = None
 
@@ -415,20 +407,21 @@ class Backtester:
                 config.n_accelerators,
                 log=telemetry.decisions if telemetry is not None else None,
             )
-        fast = self.fast_loop if self.fast_loop is not None else _fast_loop_default()
-        # The fixed-system fast pump has no fault paths; fall back to the
-        # reference pump when a fixed profile runs under injection.
-        use_fast = fast and (self._is_lighttrader or injector is None)
+        # Only a fixed profile under injection needs the event-heap pump
+        # (the queue-free fixed pump has no fault paths).
+        heap_pump = injector is not None and not self._is_lighttrader
         pre_ns = self.profile.stages.pre_inference_ns
-        if use_fast:
-            offload: OffloadEngine | PendingIndexStore = PendingIndexStore(
+        if heap_pump:
+            offload: OffloadEngine | PendingIndexStore = OffloadEngine(
+                window=1, max_pending=config.max_pending
+            )
+        else:
+            offload = PendingIndexStore(
                 self.workload.timestamps,
                 self.workload.deadlines,
                 pre_ns,
                 max_pending=config.max_pending,
             )
-        else:
-            offload = OffloadEngine(window=1, max_pending=config.max_pending)
         state = _Pending(
             offload=offload,
             metrics=metrics,
@@ -436,28 +429,22 @@ class Backtester:
             injector=injector,
         )
         queue = EventQueue()
-        if not use_fast:
-            # Reference pump: every arrival is a heap event.  The fast
-            # pumps merge the sorted workload arrays directly instead.
+        if heap_pump:
+            # Every arrival is a heap event; the other pumps merge the
+            # sorted workload arrays directly instead.
             for index in range(len(self.workload)):
                 ts = int(self.workload.timestamps[index])
-                if injector is None:
-                    queue.push(ts + pre_ns, EventKind.ARRIVAL, index)
-                else:
-                    for t in injector.arrival_times(index, ts + pre_ns):
-                        queue.push(t, EventKind.ARRIVAL, index)
+                for t in injector.arrival_times(index, ts + pre_ns):
+                    queue.push(t, EventKind.ARRIVAL, index)
         if injector is not None:
             injector.schedule(queue)
 
         if self._is_lighttrader:
-            if use_fast:
-                self._run_lighttrader_fast(queue, state)
-            else:
-                self._run_lighttrader(queue, state)
-        elif use_fast:
-            self._run_fixed_system_fast(state)
-        else:
+            self._run_lighttrader_fast(queue, state)
+        elif heap_pump:
             self._run_fixed_system(queue, state)
+        else:
+            self._run_fixed_system_fast(state)
 
         for query in state.offload.pop_batch(config.max_pending):
             query.drop_reason = "end_of_run"
@@ -504,253 +491,15 @@ class Backtester:
 
     # -- LightTrader path ------------------------------------------------------------
 
-    def _run_lighttrader(self, queue: EventQueue, state: _Pending) -> None:
-        assert isinstance(self.profile, LightTraderProfile)
-        config = self.config
-        profile = self.profile
-        cost = profile.cost(config.model)
-
-        static_table = DVFSTable(cap_hz=paperdata.TABLE3_CONSERVATIVE_CAP_HZ)
-        dynamic_table = DVFSTable()  # full silicon envelope for Algorithms 1/2
-        power_model: PowerModel = profile.power_model
-        static_point = power_model.select_max_frequency(
-            static_table,
-            cost.activity,
-            config.budget_w / config.n_accelerators,
-        ) or static_table.min_point
-
-        telemetry = state.telemetry
-        decision_log = telemetry.decisions if telemetry is not None else None
-        spans_on = telemetry is not None and telemetry.trace_queries
-        light_on = telemetry is not None and telemetry.light
-        cluster = AcceleratorCluster(
-            n_accelerators=config.n_accelerators,
-            table=dynamic_table,
-            power_model=power_model,
-            budget_w=config.budget_w,
-        )
-        for device in cluster.devices:
-            device.point = static_point  # boot-time configuration, no delay
-            if telemetry is not None:
-                device.on_transition = telemetry.record_transition
-
-        ws = WorkloadScheduler(
-            profile,
-            dynamic_table,
-            max_batch=config.max_batch,
-            metric=config.scheduler_metric,
-            log=decision_log,
-        )
-        ds = (
-            DVFSScheduler(profile, dynamic_table, log=decision_log)
-            if config.dvfs_scheduling
-            else None
-        )
-
-        state.cluster = cluster
-        state.scheduler = ws
-        state.dvfs = ds
-
-        static_power = profile.power_w(config.model, static_point, 1)
-        min_power = profile.power_w(config.model, dynamic_table.min_point, 1)
-
-        post_slack_ns = profile.stages.post_inference_ns
-        injector = state.injector
-
-        def capped(point: OperatingPoint, device) -> OperatingPoint:
-            """Clamp a chosen point to the device's thermal cap, if any."""
-            if device.cap_hz is not None and point.freq_hz > device.cap_hz + 1e-3:
-                return fastest_capped(dynamic_table, device.cap_hz)
-            return point
-
-        def decide_for(device, now: int, deadline: int):
-            """One scheduling decision for an idle device, or None to drop."""
-            if config.workload_scheduling:
-                budget = self._issue_budget(cluster, device, now)
-                if ds is not None and budget < min_power:
-                    # Save power to make room for this issue (paper §III-D).
-                    ds.reclaim(cluster, now, min_power - cluster.headroom(now))
-                    budget = self._issue_budget(cluster, device, now)
-                # Effective deadlines: the order must leave the trading
-                # engine (post-inference stages) before t_avail expires.
-                deadlines = [
-                    d - post_slack_ns
-                    for d in state.offload.pending_deadlines(config.max_batch)
-                ]
-                return ws.decide(
-                    config.model,
-                    now,
-                    deadlines,
-                    budget,
-                    floor_freq_hz=static_point.freq_hz,
-                    cap_freq_hz=device.cap_hz,
-                )
-            if ds is not None:
-                # DVFS scheduling without batching: fastest point that the
-                # live rail headroom admits (batch stays 1).
-                budget = self._issue_budget(cluster, device, now)
-                point = power_model.select_max_frequency(
-                    dynamic_table, cost.activity, budget
-                )
-                if point is None:
-                    ds.reclaim(cluster, now, static_power - cluster.headroom(now))
-                    budget = self._issue_budget(cluster, device, now)
-                    point = power_model.select_max_frequency(
-                        dynamic_table, cost.activity, budget
-                    )
-                if point is None:
-                    point = static_point  # worst-case-safe fallback
-                return ws.static_decision(
-                    config.model, capped(point, device), now, deadline
-                )
-            return ws.static_decision(
-                config.model, capped(static_point, device), now, deadline
-            )
-
-        def try_schedule(now: int) -> None:
-            self._drop_stale(state, now)
-            for device in cluster.idle_devices(now):
-                while state.offload.pending_count() > 0:
-                    oldest = state.offload.peek_pending()
-                    assert oldest is not None
-                    deadline = oldest.deadline if oldest.deadline >= 0 else now
-                    decision = decide_for(device, now, deadline)
-                    if decision is None:
-                        effective = deadline - post_slack_ns
-                        if ws.deadline_feasible(config.model, now, effective):
-                            # Only power stands in the way; keep the query
-                            # queued until a busy accelerator releases
-                            # budget (its completion re-triggers scheduling).
-                            if decision_log is not None:
-                                decision_log.record_fallback(
-                                    now, "defer_power", oldest.query_id
-                                )
-                            break
-                        victim = state.offload.drop_oldest()
-                        if victim is not None:
-                            if decision_log is not None:
-                                decision_log.record_fallback(
-                                    now, "drop_unschedulable", victim.query_id
-                                )
-                            self._record_drop(state, victim, now)
-                        continue
-                    if decision.point != device.point:
-                        ready = device.set_point(decision.point, now)
-                        queue.push(ready, EventKind.RETRY, None)
-                        break
-                    batch = state.offload.pop_batch(decision.batch_size)
-                    record = device.issue(
-                        now,
-                        decision.t_total_ns,
-                        len(batch),
-                        cost.activity,
-                        deadline_ns=deadline,
-                    )
-                    for query in batch:
-                        query.issue_time = now
-                    state.in_flight[device.accel_id] = batch
-                    queue.push(record.completion_time, EventKind.COMPLETION, device.accel_id)
-                    break  # this device is now busy; move to the next one
-            if ds is not None:
-                reserve = static_power if cluster.idle_devices(now) else 0.0
-                if ds.redistribute(cluster, now, reserve_w=reserve):
-                    for device in cluster.busy_devices(now):
-                        queue.push(device.busy_until, EventKind.COMPLETION, device.accel_id)
-
-        surrender_batch = _make_surrender_batch(
-            state, lambda victim, when: self._record_drop(state, victim, when)
-        )
-        if injector is not None:
-            handle_fault = _make_fault_handler(
-                injector=injector,
-                cluster=cluster,
-                state=state,
-                decision_log=decision_log,
-                dynamic_table=dynamic_table,
-                static_point=static_point,
-                queue=queue,
-                surrender_batch=surrender_batch,
-            )
-
-        post_ns = self.profile.stages.post_inference_ns
-        while len(queue):
-            now, kind, payload = queue.pop()
-            if kind is EventKind.ARRIVAL:
-                if injector is not None:
-                    verdict = injector.on_arrival(payload, now)
-                    if verdict == STALLED:
-                        # DMA stall window: defer admission to its end.
-                        queue.push(injector.stall_until, EventKind.ARRIVAL, payload)
-                        continue
-                    if verdict == DUPLICATE:
-                        continue  # second copy of a duplicated packet
-                self._ingest(state, payload, now)
-                try_schedule(now)
-            elif kind is EventKind.COMPLETION:
-                device = cluster.devices[payload]
-                if device.current is None:
-                    continue  # stale event (batch already finished)
-                if device.busy_until > now:
-                    queue.push(device.busy_until, EventKind.COMPLETION, payload)
-                    continue  # batch was stretched by the power-save step
-                device.finish(now)
-                batch = state.in_flight.pop(device.accel_id, [])
-                if injector is not None and device.accel_id in injector.corrupted:
-                    # The batch returned garbage: never score it; re-issue
-                    # whatever can still meet its original deadline.
-                    injector.corrupted.discard(device.accel_id)
-                    requeued, dropped = surrender_batch(batch, now, "corrupt_result")
-                    if decision_log is not None:
-                        decision_log.record_fault(
-                            now,
-                            "corrupt_result",
-                            accel_id=device.accel_id,
-                            requeued=requeued,
-                            dropped=dropped,
-                        )
-                    try_schedule(now)
-                    continue
-                for query in batch:
-                    query.completion_time = now + post_ns
-                    state.metrics.record_completion(
-                        query, query.completion_time, len(batch)
-                    )
-                if batch and spans_on:
-                    trans_ns = profile.t_trans_ns(len(batch))
-                    for query in batch:
-                        telemetry.record_query(
-                            completed_query_trace(
-                                query,
-                                profile.stages,
-                                inference_done_ns=now,
-                                t_trans_ns=trans_ns,
-                                batch_size=len(batch),
-                                accel_id=device.accel_id,
-                            )
-                        )
-                elif batch and light_on:
-                    for query in batch:
-                        telemetry.record_completion_light(
-                            query.deadline, query.arrival, query.completion_time
-                        )
-                try_schedule(now)
-            elif kind is EventKind.FAULT:
-                handle_fault(now, payload)
-                try_schedule(now)
-            else:  # RETRY
-                try_schedule(now)
-            watts = cluster.total_power(now)
-            state.metrics.sample_power(now, watts)
-            if telemetry is not None:
-                telemetry.sample_power(now, watts)
-
     def _run_lighttrader_fast(self, queue: EventQueue, state: _Pending) -> None:
-        """The fast LightTrader pump: cursor-merged arrivals, batched
+        """The LightTrader pump: cursor-merged arrivals, batched
         admission runs, memoized decisions, epoch-gated redistribution
         and change-driven power sampling.
 
-        Parity argument, in brief: every device-state change flows
-        through an :class:`Accelerator` method that bumps
+        Each shortcut is exact against a per-event replay (every
+        arrival a heap event, every decision a fresh Algorithm-1 sweep,
+        power sampled after every event).  In brief: every device-state
+        change flows through an :class:`Accelerator` method that bumps
         ``state_version``, and every busy/ready boundary crossing has a
         heap event at exactly that timestamp, so (a) between consecutive
         heap events with no healthy idle device, arrivals can neither
@@ -758,8 +507,7 @@ class Backtester:
         replayed en masse by ``PendingIndexStore.admit_run``; (b) when
         the summed epoch is unchanged, cluster power at the previous
         sample is still exact, and Algorithm-2 redistribution (a no-op
-        then) stays a no-op.  The loop-parity tests enforce all of this
-        byte-for-byte against ``_run_lighttrader``.
+        then) stays a no-op.  The golden loop tests pin the outcome.
         """
         assert isinstance(self.profile, LightTraderProfile)
         config = self.config
@@ -970,8 +718,8 @@ class Backtester:
                                 device.busy_until, EventKind.COMPLETION, device.accel_id
                             )
                         # Acting is not exhaustive (one transition per
-                        # device per call): the reference re-runs every
-                        # event and may keep boosting, so stay ungated
+                        # device per call): a per-event replay re-runs it
+                        # every event and may keep boosting, so stay ungated
                         # until a call comes back a no-op.
                         redist_epoch = -1
                     else:
@@ -1017,8 +765,8 @@ class Backtester:
         n_arr = len(arr_t)
         a = 0
 
-        # Change-driven power sampling: the reference samples at the end
-        # of every non-continue event; the value can only differ from the
+        # Change-driven power sampling: a per-event replay samples at the
+        # end of every non-continue event; the value can only differ from the
         # previous sample when the epoch moved, so sample exactly then
         # (plus the first and last loop-end events, which pin the
         # integral's window), and the skipped samples are value-exact.
@@ -1097,8 +845,8 @@ class Backtester:
                         # No device can issue before the next heap event
                         # (every busy/ready crossing has one), so every
                         # arrival strictly before it is a pure admission:
-                        # drain the run in one vectorized pass.  With DVFS
-                        # scheduling the reference additionally re-runs
+                        # drain the run in one array pass.  With DVFS
+                        # scheduling a per-event replay also re-runs
                         # redistribute at every arrival, and an acting
                         # pass is not exhaustive — drain only while the
                         # tail is converged at the current epoch (a no-op
@@ -1210,8 +958,8 @@ class Backtester:
                 else:  # RETRY
                     try_schedule(now)
                 sample(now)
-        # Pin the final sample so duration_s spans exactly the same
-        # [first event, last event] window the reference integrates.
+        # Pin the final sample so duration_s spans exactly the
+        # [first event, last event] window of a per-event replay.
         if sampled_once and last_event_ns != sampled_ns:
             metrics.sample_power(last_event_ns, watts)
 
@@ -1228,12 +976,14 @@ class Backtester:
     # -- fixed-profile (GPU / FPGA) path ----------------------------------------------
 
     def _run_fixed_system(self, queue: EventQueue, state: _Pending) -> None:
+        """Event-heap fixed-profile pump: the fault-injected runs."""
         config = self.config
         telemetry = state.telemetry
         decision_log = telemetry.decisions if telemetry is not None else None
         spans_on = telemetry is not None and telemetry.trace_queries
         light_on = telemetry is not None and telemetry.light
         injector = state.injector
+        assert injector is not None
         busy_until = [0] * config.n_accelerators
         in_flight: dict[int, Query] = {}
         failed: set[int] = set()  # servers quarantined by a hard fault
@@ -1270,7 +1020,6 @@ class Backtester:
                 self._record_drop(state, query, now)
 
         def handle_fault(now: int, event: FaultEvent) -> None:
-            assert injector is not None
             if event.kind == DEVICE_FAILURE:
                 if event.accel_id in failed:
                     return
@@ -1328,13 +1077,12 @@ class Backtester:
         while len(queue):
             now, kind, payload = queue.pop()
             if kind is EventKind.ARRIVAL:
-                if injector is not None:
-                    verdict = injector.on_arrival(payload, now)
-                    if verdict == STALLED:
-                        queue.push(injector.stall_until, EventKind.ARRIVAL, payload)
-                        continue
-                    if verdict == DUPLICATE:
-                        continue
+                verdict = injector.on_arrival(payload, now)
+                if verdict == STALLED:
+                    queue.push(injector.stall_until, EventKind.ARRIVAL, payload)
+                    continue
+                if verdict == DUPLICATE:
+                    continue
                 self._ingest(state, payload, now)
             elif kind is EventKind.COMPLETION:
                 if busy_until[payload] > now:
@@ -1345,7 +1093,7 @@ class Backtester:
                     query = in_flight.pop(payload, None)
                     if query is None:
                         pass  # surrendered to a fault before completing
-                    elif injector is not None and payload in corrupt:
+                    elif payload in corrupt:
                         corrupt.discard(payload)
                         if query.deadline < 0 or query.deadline > now:
                             query.issue_time = None
@@ -1386,12 +1134,12 @@ class Backtester:
                 telemetry.sample_power(now, self.profile.system_power_w)
 
     def _run_fixed_system_fast(self, state: _Pending) -> None:
-        """Fast fixed-profile pump (fault-free runs only — ``run()``
-        falls back to the reference pump under injection).
+        """Queue-free fixed-profile pump (fault-free runs only — ``run()``
+        picks the event-heap pump under injection).
 
         Constant service time makes completions FIFO (a deque replaces
         the heap) and constant system power makes the timeline flat: the
-        first and last events pin the same integral the reference
+        first and last events pin the same integral a per-event replay
         accumulates event by event.
         """
         config = self.config
@@ -1450,7 +1198,7 @@ class Backtester:
                         break
                 if not free:
                     # All servers busy until the next completion: drain
-                    # the arrival run as one vectorized admission pass.
+                    # the arrival run as one array admission pass.
                     j = bisect_left(arr_t, ct, a + 1)
                     if j - a > 1 and store.can_admit_run(j - a):
                         if first_ns < 0:

@@ -131,7 +131,7 @@ class MetricsCollector:
         order_time: int,
         batch_size: int,
     ) -> None:
-        """Identity-only completion recording for the fast loop's lazy
+        """Identity-only completion recording for the event pump's lazy
         path: counter-, trace- and float-identical to
         :meth:`record_completion` without a materialised :class:`Query`."""
         if deadline < 0:
@@ -158,7 +158,7 @@ class MetricsCollector:
         self.record_drop_ids(query.query_id, query.deadline)
 
     def record_drop_ids(self, query_id: int, deadline: int) -> None:
-        """Identity-only drop recording for the fast loop's lazy path:
+        """Identity-only drop recording for the event pump's lazy path:
         counter- and trace-identical to :meth:`record_drop` without
         requiring a materialised :class:`Query`."""
         if deadline < 0:
@@ -193,9 +193,9 @@ class MetricsCollector:
                     self._power_time_ns += dt
                 self._segment = (now, watts)
                 # Gauge writes happen only on value changes (and the
-                # first sample below), so the fast loop — which skips
-                # value-identical samples — produces the identical gauge
-                # sequence as the reference loop.
+                # first sample below), so the event pump — which skips
+                # value-identical samples — produces the same gauge
+                # sequence as sampling after every event.
                 self._m_power.set(watts)
         else:
             self._segment = (now, watts)

@@ -49,7 +49,7 @@ __all__ = [
 
 WORKLOAD_CACHE_ENV = envcfg.WORKLOAD_CACHE.name
 
-# Bump whenever a generator's RNG stream changes (e.g. the vectorized
+# Bump whenever a generator's RNG stream changes (e.g. the numpy-batched
 # Hawkes thinning loop consumes draws in a different order than the
 # scalar sampler did) so stale on-disk entries can never shadow the
 # regenerated workload.

@@ -4,6 +4,7 @@ import pytest
 
 from repro import paperdata
 from repro.baselines import fpga_profile, gpu_profile, lighttrader_profile
+from repro.core.scheduler import SCHEDULER_METRICS
 from repro.errors import SimulationError
 from repro.market import generate_session
 from repro.sim import (
@@ -41,6 +42,31 @@ class TestSimConfig:
             SimConfig(power_condition="unlimited")
         with pytest.raises(SimulationError):
             SimConfig(n_accelerators=0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"max_batch": 0}, "max_batch must be positive"),
+            ({"max_batch": -3}, "max_batch must be positive"),
+            ({"scheduler_metric": "bogus"}, "unknown scheduler metric 'bogus'"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "make_profile", [gpu_profile, fpga_profile, lighttrader_profile]
+    )
+    def test_malformed_scheduler_fields_fail_for_every_profile(
+        self, make_profile, bad, message
+    ):
+        # Fixed profiles never build a WorkloadScheduler, so the config
+        # itself must refuse these fields, with a one-line error.
+        workload = synthetic_workload(duration_s=0.2, seed=3)
+        with pytest.raises(SimulationError, match=message) as info:
+            Backtester(workload, make_profile(), SimConfig(**bad)).run()
+        assert "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("metric", SCHEDULER_METRICS)
+    def test_every_scheduler_metric_accepted(self, metric):
+        assert SimConfig(scheduler_metric=metric).scheduler_metric == metric
 
 
 class TestConservation:

@@ -2,7 +2,7 @@
 
 The registry replaced ad-hoc ``os.environ`` parsing at four call sites;
 these tests pin the exact semantics those sites relied on — parse
-directions for the two bool switches, clamping for the numeric grids,
+directions for default-on and default-off bool switches, clamping for the numeric grids,
 error policy for junk — plus the round-trip guarantee: every declared
 variable is documented in EXPERIMENTS.md's generated table.
 """
@@ -34,8 +34,6 @@ def test_registry_contents_and_defaults():
     assert set(by_name) == {
         "REPRO_TRACE_DIR",
         "REPRO_TRACE_LEVEL",
-        "REPRO_FAST_LOOP",
-        "REPRO_SWEEP_REFERENCE",
         "REPRO_WORKLOAD_CACHE",
         "REPRO_BENCH_JOBS",
         "REPRO_BENCH_RETRIES",
@@ -53,13 +51,11 @@ def test_registry_contents_and_defaults():
         "REPRO_TAPE_CACHE",
         "REPRO_LINT_CACHE",
     }
-    assert by_name["REPRO_FAST_LOOP"].default is True
     assert by_name["REPRO_MARKET_FAST"].default is True
     assert by_name["REPRO_TAPE_CACHE"].default is None
     assert by_name["REPRO_METRICS"].default == 1
     assert by_name["REPRO_METRICS_FLUSH_NS"].default == 0
     assert by_name["REPRO_METRICS_EXPORT"].default is None
-    assert by_name["REPRO_SWEEP_REFERENCE"].default is False
     assert by_name["REPRO_TRACE_LEVEL"].default == 2
     assert by_name["REPRO_BENCH_JOBS"].default == 1
     assert by_name["REPRO_BENCH_DURATION"].default == 60.0
@@ -70,7 +66,7 @@ def test_registry_contents_and_defaults():
 
 
 def test_lookup_rejects_unregistered_names():
-    assert envcfg.is_declared("REPRO_FAST_LOOP")
+    assert envcfg.is_declared("REPRO_MARKET_FAST")
     assert not envcfg.is_declared("REPRO_NOPE")
     with pytest.raises(SimulationError):
         envcfg.lookup("REPRO_NOPE")
@@ -99,13 +95,13 @@ def test_accessors_enforce_declared_kind():
     with pytest.raises(SimulationError):
         envcfg.get_bool("REPRO_TRACE_LEVEL")
     with pytest.raises(SimulationError):
-        envcfg.get_int("REPRO_FAST_LOOP")
+        envcfg.get_int("REPRO_MARKET_FAST")
     with pytest.raises(SimulationError):
         envcfg.get_float("REPRO_BENCH_JOBS")
     with pytest.raises(SimulationError):
-        envcfg.get_path("REPRO_FAST_LOOP")
+        envcfg.get_path("REPRO_MARKET_FAST")
     with pytest.raises(SimulationError):
-        envcfg.get_choice("REPRO_FAST_LOOP")
+        envcfg.get_choice("REPRO_MARKET_FAST")
     with pytest.raises(SimulationError):
         envcfg.get_int("REPRO_LOB_ENGINE")
 
@@ -143,23 +139,28 @@ def test_choice_kind_text_renders_token_set():
 
 
 def test_default_on_bool_turns_off_only_on_false_tokens(monkeypatch):
-    assert envcfg.get_bool("REPRO_FAST_LOOP") is True
+    assert envcfg.get_bool("REPRO_MARKET_FAST") is True
     for token in ("0", "false", "no", "FALSE", " No "):
-        monkeypatch.setenv("REPRO_FAST_LOOP", token)
-        assert envcfg.get_bool("REPRO_FAST_LOOP") is False
+        monkeypatch.setenv("REPRO_MARKET_FAST", token)
+        assert envcfg.get_bool("REPRO_MARKET_FAST") is False
     for token in ("1", "true", "anything-else"):
-        monkeypatch.setenv("REPRO_FAST_LOOP", token)
-        assert envcfg.get_bool("REPRO_FAST_LOOP") is True
+        monkeypatch.setenv("REPRO_MARKET_FAST", token)
+        assert envcfg.get_bool("REPRO_MARKET_FAST") is True
 
 
 def test_default_off_bool_turns_on_only_on_true_tokens(monkeypatch):
-    assert envcfg.get_bool("REPRO_SWEEP_REFERENCE") is False
+    # No shipped bool defaults off; declare a throwaway one.
+    var = envcfg.EnvVar("REPRO_TEST_OFF", "bool", False, "test-only switch")
+    monkeypatch.setitem(envcfg._REGISTRY, var.name, var)
+    monkeypatch.delenv(var.name, raising=False)
+    assert envcfg.get_bool(var.name) is False
     for token in ("1", "true", "yes", "TRUE", " Yes "):
-        monkeypatch.setenv("REPRO_SWEEP_REFERENCE", token)
-        assert envcfg.get_bool("REPRO_SWEEP_REFERENCE") is True
+        monkeypatch.setenv(var.name, token)
+        assert envcfg.get_bool(var.name) is True
     for token in ("0", "false", "anything-else"):
-        monkeypatch.setenv("REPRO_SWEEP_REFERENCE", token)
-        assert envcfg.get_bool("REPRO_SWEEP_REFERENCE") is False
+        monkeypatch.setenv(var.name, token)
+        assert envcfg.get_bool(var.name) is False
+    assert var.default_text == "off"
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +253,6 @@ def test_experiments_md_documents_every_variable_inside_markers():
 
 def test_default_text_rendering():
     assert envcfg.TRACE_DIR.default_text == "unset"
-    assert envcfg.FAST_LOOP.default_text == "on"
-    assert envcfg.SWEEP_REFERENCE.default_text == "off"
+    assert envcfg.MARKET_FAST.default_text == "on"
     assert envcfg.BENCH_DURATION.default_text == "60"
     assert envcfg.TRACE_LEVEL.default_text == "2"

@@ -117,35 +117,46 @@ def test_warm_run_is_faster_over_lint_package(tmp_path: Path):
 
 
 def test_project_findings_identical_from_cached_facts(tmp_path: Path):
-    source = """
-from repro.sim.events import EventKind
+    generator = """
+from repro.lob.order import OrderType
 
-class Backtester:
-    def _run_lighttrader(self, queue):
-        if queue is EventKind.ARRIVAL:
+class MarketSimulator:
+    def _generate_reference(self, ctx, rng):
+        if ctx is OrderType.LIMIT:
             pass
 
-    def _run_lighttrader_fast(self, queue):
-        if queue is EventKind.ARRIVAL:
+    def _generate_fast(self, ctx, rng):
+        if ctx is OrderType.LIMIT:
             pass
-        elif queue is EventKind.RETRY:
+        elif ctx is OrderType.MARKET:
             pass
-
-    def _run_fixed_system(self, q, s): ...
-    def _run_fixed_system_fast(self, s): ...
 """
-    files = write_tree(tmp_path / "tree", {"src/repro/sim/backtest.py": source})
+    backtest = """
+class Backtester:
+    def _run_fixed_system(self, q, s):
+        return s.rng.integers(0, 4)
+
+    def _run_fixed_system_fast(self, s):
+        return s.rng.random()
+"""
+    files = write_tree(
+        tmp_path / "tree",
+        {
+            "src/repro/market/generator.py": generator,
+            "src/repro/sim/backtest.py": backtest,
+        },
+    )
     cache = LintCache(tmp_path / "cache")
     cold = analyze_paths(files, root=tmp_path, cache=cache)
     warm = analyze_paths(files, root=tmp_path, cache=cache)
-    assert warm.cache_hits == 1
+    assert warm.cache_hits == 2
     cold_project = [f.to_dict() for f in project_findings_for(cold.facts)]
     warm_project = [f.to_dict() for f in project_findings_for(warm.facts)]
     assert cold_project == warm_project
-    assert any(
-        f["rule"] == "RL006" and "backtest-lighttrader-loop" in str(f["message"])
-        for f in warm_project
-    )
+    for pair in ("market-generator-loop", "backtest-fixed-system-loop"):
+        assert any(
+            f["rule"] == "RL006" and pair in str(f["message"]) for f in warm_project
+        ), pair
 
 
 def test_cli_cache_flag_and_jobs(tmp_path: Path, capsys):

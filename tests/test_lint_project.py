@@ -13,8 +13,9 @@ import sys
 import textwrap
 from pathlib import Path
 
-from repro.lint import build_context
+from repro.lint import build_context, project_rules
 from repro.lint.facts import extract_facts
+from repro.lint.parity_manifest import FunctionPair
 from repro.lint.project import build_model
 from repro.lint.project_rules import project_rule_findings
 
@@ -36,34 +37,52 @@ def findings_of(files: dict[str, str], code: str | None = None):
     return findings
 
 
-BACKTEST_BOTH_SIDES = """
-from repro.sim.events import EventKind
+GENERATOR_BOTH_SIDES = """
+from repro.lob.order import OrderType, Side
 
+class MarketSimulator:
+    def _generate_reference(self, ctx, rng):
+        for op in ctx:
+            if op is OrderType.LIMIT:
+                pass
+            elif op is OrderType.MARKET:
+                pass
+            elif op is Side.BUY:
+                pass
+
+    def _generate_fast(self, ctx, rng):
+        for op in ctx:
+            if op is OrderType.MARKET:
+                pass
+            elif op is Side.BUY:
+                pass
+            elif op is OrderType.LIMIT:
+                pass
+"""
+
+BACKTEST_FIXED_PUMPS = """
 class Backtester:
-    def _run_lighttrader(self, queue):
-        for kind in queue:
-            if kind is EventKind.ARRIVAL:
-                pass
-            elif kind is EventKind.COMPLETION:
-                pass
-            elif kind is EventKind.FAULT:
-                pass
-
-    def _run_lighttrader_fast(self, queue):
-        for kind in queue:
-            if kind is EventKind.COMPLETION:
-                pass
-            elif kind is EventKind.FAULT:
-                pass
-            elif kind is EventKind.ARRIVAL:
-                pass
-
     def _run_fixed_system(self, queue, state):
-        pass
+        return state.rng.integers(0, 4)
 
     def _run_fixed_system_fast(self, state):
-        pass
+        return state.rng.integers(0, 4)
 """
+
+# The branch RL006 must catch when it appears on the fast side only.
+_SELL_BRANCH = (
+    "            elif op is OrderType.LIMIT:\n                pass\n"
+    "            elif op is Side.SELL:\n                pass\n"
+)
+
+
+def _fast_side_drift(source: str) -> str:
+    """Add a Side.SELL branch after the fast side's last branch."""
+    drifted = source.replace(
+        "            elif op is OrderType.LIMIT:\n                pass\n", _SELL_BRANCH
+    )
+    assert drifted != source
+    return drifted
 
 
 # ---------------------------------------------------------------------------
@@ -73,30 +92,45 @@ class Backtester:
 
 def test_rl006_mirrored_loops_are_clean():
     assert findings_of(
-        {"src/repro/sim/backtest.py": BACKTEST_BOTH_SIDES}, "RL006"
+        {
+            "src/repro/market/generator.py": GENERATOR_BOTH_SIDES,
+            "src/repro/sim/backtest.py": BACKTEST_FIXED_PUMPS,
+        },
+        "RL006",
     ) == []
 
 
 def test_rl006_branch_added_on_one_side_only():
-    drifted = BACKTEST_BOTH_SIDES.replace(
-        "            elif kind is EventKind.ARRIVAL:\n                pass\n",
-        "            elif kind is EventKind.ARRIVAL:\n                pass\n"
-        "            elif kind is EventKind.RETRY:\n                pass\n",
-    )
-    assert drifted != BACKTEST_BOTH_SIDES
-    findings = findings_of({"src/repro/sim/backtest.py": drifted}, "RL006")
-    assert findings, "RETRY branch on the fast side only must be drift"
-    assert any("backtest-lighttrader-loop" in f.message for f in findings)
-    assert any("EventKind.RETRY" in f.message for f in findings)
+    drifted = _fast_side_drift(GENERATOR_BOTH_SIDES)
+    findings = findings_of({"src/repro/market/generator.py": drifted}, "RL006")
+    assert findings, "SELL branch on the fast side only must be drift"
+    assert any("market-generator-loop" in f.message for f in findings)
+    assert any("Side.SELL" in f.message for f in findings)
 
 
 def test_rl006_renamed_counterpart_is_drift():
-    renamed = BACKTEST_BOTH_SIDES.replace(
-        "def _run_lighttrader_fast", "def _run_lighttrader_fast2"
+    renamed = BACKTEST_FIXED_PUMPS.replace(
+        "def _run_fixed_system_fast", "def _run_fixed_system_fast2"
     )
     findings = findings_of({"src/repro/sim/backtest.py": renamed}, "RL006")
     assert any(
-        "counterpart" in f.message and "backtest-lighttrader-loop" in f.message
+        "counterpart" in f.message and "backtest-fixed-system-loop" in f.message
+        for f in findings
+    )
+
+
+def test_rl006_fixed_pumps_rng_flow_divergence():
+    drifted = BACKTEST_FIXED_PUMPS.replace(
+        "    def _run_fixed_system_fast(self, state):\n"
+        "        return state.rng.integers(0, 4)",
+        "    def _run_fixed_system_fast(self, state):\n"
+        "        return state.rng.random()",
+    )
+    assert drifted != BACKTEST_FIXED_PUMPS
+    findings = findings_of({"src/repro/sim/backtest.py": drifted}, "RL006")
+    assert any(
+        "RNG draw flows diverge" in f.message
+        and "backtest-fixed-system-loop" in f.message
         for f in findings
     )
 
@@ -160,21 +194,32 @@ def test_rl006_class_pair_surface_drift():
     assert not any("replay_ops" in f.message for f in findings)
 
 
-def test_rl006_stats_keys_and_ctor_kwargs():
+def test_rl006_stats_keys_and_ctor_kwargs(monkeypatch):
+    # No shipped pair declares stats keys or constructor kwargs; pin the
+    # fingerprints with a synthetic manifest entry.
+    pair = FunctionPair(
+        name="fixture-sweep",
+        switch=None,
+        reference=("repro.core.fixture", "Sweeper.reference"),
+        fast=("repro.core.fixture", "Sweeper.fast"),
+        stats_names=("stats",),
+        ctor_kwargs=("Decision",),
+    )
+    monkeypatch.setattr(project_rules, "PARITY_PAIRS", (pair,))
     files = {
-        "src/repro/core/scheduler.py": """
-        class ScheduleDecision:
+        "src/repro/core/fixture.py": """
+        class Decision:
             pass
 
-        class WorkloadScheduler:
-            def _sweep_reference(self, model, now, stats):
+        class Sweeper:
+            def reference(self, model, now, stats):
                 stats["considered"] += 1
                 stats["feasible"] += 1
-                return ScheduleDecision(point=1, batch_size=2)
+                return Decision(point=1, batch_size=2)
 
-            def _sweep_vectorized(self, tables, now, stats):
+            def fast(self, tables, now, stats):
                 stats["considered"] += 1
-                return ScheduleDecision(point=1)
+                return Decision(point=1)
         """
     }
     findings = findings_of(files, "RL006")
@@ -183,16 +228,13 @@ def test_rl006_stats_keys_and_ctor_kwargs():
 
 
 def test_rl006_suppression_downgrades_finding():
-    drifted = BACKTEST_BOTH_SIDES.replace(
-        "    def _run_lighttrader_fast(self, queue):",
-        "    # repro-lint: disable=RL006\n"
-        "    def _run_lighttrader_fast(self, queue):",
-    ).replace(
-        "            elif kind is EventKind.ARRIVAL:\n                pass\n",
-        "            elif kind is EventKind.ARRIVAL:\n                pass\n"
-        "            elif kind is EventKind.RETRY:\n                pass\n",
+    drifted = _fast_side_drift(
+        GENERATOR_BOTH_SIDES.replace(
+            "    def _generate_fast(self, ctx, rng):",
+            "    # repro-lint: disable=RL006\n    def _generate_fast(self, ctx, rng):",
+        )
     )
-    model = model_of({"src/repro/sim/backtest.py": drifted})
+    model = model_of({"src/repro/market/generator.py": drifted})
     findings = [f for f in project_rule_findings(model) if f.rule == "RL006"]
     assert findings and all(f.suppressed for f in findings)
 
@@ -200,12 +242,8 @@ def test_rl006_suppression_downgrades_finding():
 def test_rl006_cli_exit_1_names_the_pair(tmp_path: Path):
     """Acceptance: mutate one side of a parity pair on a synthetic tree;
     ``python -m repro.lint`` exits 1 naming the pair."""
-    drifted = BACKTEST_BOTH_SIDES.replace(
-        "            elif kind is EventKind.ARRIVAL:\n                pass\n",
-        "            elif kind is EventKind.ARRIVAL:\n                pass\n"
-        "            elif kind is EventKind.RETRY:\n                pass\n",
-    )
-    target = tmp_path / "src" / "repro" / "sim" / "backtest.py"
+    drifted = _fast_side_drift(GENERATOR_BOTH_SIDES)
+    target = tmp_path / "src" / "repro" / "market" / "generator.py"
     target.parent.mkdir(parents=True)
     target.write_text(textwrap.dedent(drifted))
 
@@ -222,8 +260,8 @@ def test_rl006_cli_exit_1_names_the_pair(tmp_path: Path):
     )
     assert result.returncode == 1, result.stdout + result.stderr
     assert "RL006" in result.stdout
-    assert "backtest-lighttrader-loop" in result.stdout
-    assert "REPRO_FAST_LOOP" in result.stdout
+    assert "market-generator-loop" in result.stdout
+    assert "REPRO_MARKET_FAST" in result.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +447,7 @@ def test_rl008_import_time_envcfg_read():
         "src/repro/bench/fixture.py": """
         from repro import envcfg
 
-        FAST = envcfg.get_bool("REPRO_FAST_LOOP")
+        FAST = envcfg.get_bool("REPRO_MARKET_FAST")
 
         def use():
             return FAST
@@ -417,7 +455,7 @@ def test_rl008_import_time_envcfg_read():
     }
     findings = findings_of(files, "RL008")
     assert any(
-        "REPRO_FAST_LOOP" in f.message and "import time" in f.message
+        "REPRO_MARKET_FAST" in f.message and "import time" in f.message
         for f in findings
     )
 

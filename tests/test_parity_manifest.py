@@ -51,14 +51,9 @@ def test_manifest_switches_are_declared_env_vars():
 
 
 def test_known_selectors_are_discovered():
-    # The four dispatch switches the repo ships today; a new selector
+    # The two dispatch switches the repo ships today; a new selector
     # must extend this list *and* the manifest.
-    assert selector_switches() == {
-        "REPRO_FAST_LOOP",
-        "REPRO_SWEEP_REFERENCE",
-        "REPRO_MARKET_FAST",
-        "REPRO_LOB_ENGINE",
-    }
+    assert selector_switches() == {"REPRO_MARKET_FAST", "REPRO_LOB_ENGINE"}
 
 
 def test_every_pair_member_exists_in_tree():

@@ -1,9 +1,10 @@
-"""Vectorized sweep ⇔ reference Algorithm-1 loop: decision-for-decision parity.
+"""Grid sweep ⇔ line-for-line Algorithm-1 loop: decision-for-decision parity.
 
-The vectorized sweep is only allowed to change *how fast* Algorithm 1
-runs, never *what* it decides.  These property-style tests drive both
-implementations through randomized profiles, deadline mixes, power
-budgets and frequency floors and require
+The grid sweep is only allowed to change *how fast* Algorithm 1 runs,
+never *what* it decides.  These property-style tests drive it and the
+scalar loop (:class:`tests.sweep_oracle.ReferenceScheduler`) through
+randomized profiles, deadline mixes, power budgets and frequency floors
+and require
 
 - identical :class:`ScheduleDecision` objects (point, batch, timings,
   and the exact score bits), including the None case, and
@@ -18,8 +19,9 @@ from repro import envcfg
 from repro.accelerator.power import DVFSTable
 from repro.baselines.modelcosts import ModelCost
 from repro.baselines.profiles import lighttrader_profile
-from repro.core.scheduler import SWEEP_REFERENCE_ENV, WorkloadScheduler
+from repro.core.scheduler import WorkloadScheduler
 from repro.telemetry.decisions import DecisionLog
+from tests.sweep_oracle import ReferenceScheduler
 
 NOW = 5_000_000  # ns
 
@@ -59,10 +61,10 @@ def test_randomized_sweep_parity(profile, metric, max_batch):
     models = ["deeplob", "translob", "vanilla_cnn", "synthetic_0", "synthetic_1"]
     vec_log, ref_log = DecisionLog(), DecisionLog()
     vec = WorkloadScheduler(
-        profile, table, max_batch=max_batch, metric=metric, log=vec_log, vectorized=True
+        profile, table, max_batch=max_batch, metric=metric, log=vec_log
     )
-    ref = WorkloadScheduler(
-        profile, table, max_batch=max_batch, metric=metric, log=ref_log, vectorized=False
+    ref = ReferenceScheduler(
+        profile, table, max_batch=max_batch, metric=metric, log=ref_log
     )
     seed = {"ppw": 1, "latency": 2, "throughput": 3}[metric] * 100 + max_batch
     rng = np.random.default_rng(seed)
@@ -73,7 +75,7 @@ def test_randomized_sweep_parity(profile, metric, max_batch):
         got = vec.decide(model, NOW, deadlines, budget, floor)
         want = ref.decide(model, NOW, deadlines, budget, floor)
         assert got == want, (
-            f"trial {trial}: vectorized {got} != reference {want} "
+            f"trial {trial}: grid {got} != reference {want} "
             f"(model={model}, budget={budget}, floor={floor}, deadlines={deadlines})"
         )
         decided += want is not None
@@ -83,10 +85,10 @@ def test_randomized_sweep_parity(profile, metric, max_batch):
 
 
 def test_parity_without_decision_log(profile):
-    """The uninstrumented fast path picks the same candidates."""
+    """The uninstrumented sweep picks the same candidates."""
     table = DVFSTable(cap_hz=2.0e9)
-    vec = WorkloadScheduler(profile, table, vectorized=True)
-    ref = WorkloadScheduler(profile, table, vectorized=False)
+    vec = WorkloadScheduler(profile, table)
+    ref = ReferenceScheduler(profile, table)
     rng = np.random.default_rng(42)
     for _ in range(100):
         deadlines, budget, floor = _random_case(rng)
@@ -98,8 +100,8 @@ def test_parity_without_decision_log(profile):
 def test_scores_are_bit_identical(profile):
     """Not just the same argmax: the reported score has the same bits."""
     table = DVFSTable(cap_hz=2.2e9)
-    vec = WorkloadScheduler(profile, table, vectorized=True)
-    ref = WorkloadScheduler(profile, table, vectorized=False)
+    vec = WorkloadScheduler(profile, table)
+    ref = ReferenceScheduler(profile, table)
     rng = np.random.default_rng(7)
     compared = 0
     for _ in range(120):
@@ -116,16 +118,20 @@ def test_scores_are_bit_identical(profile):
 
 
 def test_reference_env_flag(profile, monkeypatch):
+    """The retired REPRO_SWEEP_REFERENCE selects nothing any more."""
+    assert not envcfg.is_declared("REPRO_SWEEP_REFERENCE")
     table = DVFSTable(cap_hz=2.0e9)
-    monkeypatch.setenv(SWEEP_REFERENCE_ENV, "1")
-    assert WorkloadScheduler(profile, table).vectorized is False
-    monkeypatch.delenv(SWEEP_REFERENCE_ENV)
-    assert WorkloadScheduler(profile, table).vectorized is True
-    assert envcfg.raw(SWEEP_REFERENCE_ENV) is None
+    deadlines = [NOW + 3_000_000, NOW + 2_500_000]
+    plain = WorkloadScheduler(profile, table).decide("deeplob", NOW, deadlines, 30.0)
+    monkeypatch.setenv("REPRO_SWEEP_REFERENCE", "1")
+    flagged = WorkloadScheduler(profile, table).decide("deeplob", NOW, deadlines, 30.0)
+    assert plain is not None
+    assert flagged == plain
 
 
 def test_vectorized_falls_back_without_grid_support(profile):
-    """Profiles without sweep_grid() transparently use the reference loop."""
+    """Profiles without sweep_grid() get a grid built from their scalar
+    oracle (SweepGrid.build) and decide exactly as the scalar loop."""
 
     class Oracle:
         def t_total_ns(self, model, point, batch_size):
@@ -135,19 +141,27 @@ def test_vectorized_falls_back_without_grid_support(profile):
             return profile.power_w(model, point, batch_size)
 
     table = DVFSTable(cap_hz=2.0e9)
-    bare = WorkloadScheduler(Oracle(), table, vectorized=True)
-    full = WorkloadScheduler(profile, table, vectorized=True)
+    bare = WorkloadScheduler(Oracle(), table)
+    full = WorkloadScheduler(profile, table)
+    oracle = ReferenceScheduler(Oracle(), table)
     decision = bare.decide("deeplob", NOW, [NOW + 3_000_000], 55.0)
     assert decision == full.decide("deeplob", NOW, [NOW + 3_000_000], 55.0)
+    assert decision == oracle.decide("deeplob", NOW, [NOW + 3_000_000], 55.0)
     assert decision is not None
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        deadlines, budget, floor = _random_case(rng)
+        assert bare.decide("deeplob", NOW, deadlines, budget, floor) == (
+            oracle.decide("deeplob", NOW, deadlines, budget, floor)
+        )
 
 
 def test_thermal_cap_parity(profile):
-    """cap_freq_hz (thermal throttling) prunes both paths identically."""
+    """cap_freq_hz (thermal throttling) prunes both sweeps identically."""
     table = DVFSTable(cap_hz=2.2e9)
     vec_log, ref_log = DecisionLog(), DecisionLog()
-    vec = WorkloadScheduler(profile, table, log=vec_log, vectorized=True)
-    ref = WorkloadScheduler(profile, table, log=ref_log, vectorized=False)
+    vec = WorkloadScheduler(profile, table, log=vec_log)
+    ref = ReferenceScheduler(profile, table, log=ref_log)
     rng = np.random.default_rng(77)
     committed_below_cap = 0
     for trial in range(120):
@@ -165,8 +179,8 @@ def test_thermal_cap_parity(profile):
 
 def test_cap_below_every_point_yields_none(profile):
     table = DVFSTable(cap_hz=2.2e9)
-    for vectorized in (True, False):
-        scheduler = WorkloadScheduler(profile, table, vectorized=vectorized)
+    for scheduler_cls in (WorkloadScheduler, ReferenceScheduler):
+        scheduler = scheduler_cls(profile, table)
         decision = scheduler.decide(
             "deeplob", NOW, [NOW + 5_000_000], 55.0, cap_freq_hz=1.0
         )

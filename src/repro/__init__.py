@@ -51,7 +51,7 @@ from repro.baselines import (
 )
 from repro.compiler import CompiledProgram, compile_model
 from repro.core import DVFSScheduler, WorkloadScheduler, ppw
-from repro.lob import DepthSnapshot, LimitOrderBook, MatchingEngine, Order, Side
+from repro.lob import ArrayMatchingEngine, DepthSnapshot, LimitOrderBook, Order, Side
 from repro.market import (
     HawkesParams,
     MarketSimulator,
@@ -94,6 +94,7 @@ __version__ = "1.0.0"
 __all__ = [
     "AcceleratorCluster",
     "AcceleratorConfig",
+    "ArrayMatchingEngine",
     "Backtester",
     "CGRAInterpreter",
     "CompiledProgram",
@@ -106,7 +107,6 @@ __all__ = [
     "LightTraderProfile",
     "LimitOrderBook",
     "MarketSimulator",
-    "MatchingEngine",
     "Model",
     "ModelCost",
     "NormalizationStats",

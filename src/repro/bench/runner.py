@@ -295,10 +295,12 @@ def run_many(
                     index, _deadline = active.pop(future)
                     try:
                         results[index] = future.result()
+                        # Another worker may have died since this run
+                        # finished: submitting then raises, too.
+                        _submit_next()
                     except BrokenProcessPool as exc:
                         broken = exc
                         break
-                    _submit_next()
                 if done or timeout <= 0:
                     continue
                 now = time.monotonic()

@@ -10,10 +10,12 @@ EXPERIMENTS.md table instead of letting prose drift from code.
 
 Semantics are pinned per variable, not per type:
 
-- boolean variables keep their historical parse direction — a
-  default-on switch (``REPRO_MARKET_FAST``) turns off only on an
-  explicit false token (``0``/``false``/``no``), while a default-off
-  switch turns on only on an explicit true token (``1``/``true``/``yes``);
+- boolean variables parse in their default's direction — a default-on
+  switch turns off only on an explicit false token
+  (``0``/``false``/``no``), while a default-off switch turns on only on
+  an explicit true token (``1``/``true``/``yes``).  No shipped variable
+  is a bool or a choice today; the kinds stay for the benchmark
+  harness's environment pinning;
 - numeric variables declare bounds (always clamped into range, the way
   ``REPRO_BENCH_JOBS=0`` has always meant 1) and a parse-error policy:
   ``default`` falls back silently on junk (trace level must never crash
@@ -229,35 +231,6 @@ METRICS_FLUSH_NS = _declare(
         "end-of-run snapshot is always available via the run manifest.",
         minimum=0,
         on_error="default",
-    )
-)
-
-LOB_ENGINE = _declare(
-    EnvVar(
-        "REPRO_LOB_ENGINE",
-        "choice",
-        "array",
-        "Limit-order-book engine: 'array' (struct-of-arrays book and "
-        "batch matching kernels, the default) or 'reference' (the "
-        "object-per-order golden model). Both produce bit-identical "
-        "fills, events and sequence numbers — the lob-parity CI gate "
-        "holds them to it.",
-        choices=("reference", "array"),
-    )
-)
-
-MARKET_FAST = _declare(
-    EnvVar(
-        "REPRO_MARKET_FAST",
-        "bool",
-        True,
-        "Market-generator fast path: agents plan plain-int ops executed "
-        "through the array book's checkout/commit replay kernel instead "
-        "of per-call submit/cancel. Produces byte-identical tapes to "
-        "the reference loop (CI-gated via tape sha256); 0/false/no "
-        "falls back to the reference loop. Only the array engine has a "
-        "fast path — under REPRO_LOB_ENGINE=reference the reference "
-        "loop always runs.",
     )
 )
 

@@ -3,8 +3,7 @@
 The cross-module rules (RL006–RL009 in :mod:`repro.lint.project_rules`)
 never re-read source files: everything they need from one module is
 condensed here into a :class:`ModuleFacts` — symbol tables, import
-edges, per-function call sites, enum-token fingerprints, RNG-stream
-facts, unit-suffix dataflow summaries, mutable module globals, and the
+edges, per-function call sites, RNG-stream facts, unit-suffix dataflow summaries, mutable module globals, and the
 suppression directives that apply to project-level findings.
 
 :class:`ModuleFacts` round-trips through plain JSON (``to_dict`` /
@@ -33,7 +32,6 @@ __all__ = [
     "PendingMix",
     "RNG_DRAW_CLASSES",
     "RngEvent",
-    "TOKEN_FAMILIES",
     "extract_facts",
     "module_name_for",
     "unit_of_identifier",
@@ -41,18 +39,7 @@ __all__ = [
 
 # Bump when the extracted shape changes: cached facts with a different
 # version are discarded (see repro.lint.cache).
-FACTS_VERSION = 1
-
-# Enum-like namespaces whose attribute tokens form comparable parity
-# fingerprints (RL006): referencing ``EventKind.FAULT`` on one side of a
-# fast/reference pair but not the other is drift.
-TOKEN_FAMILIES = (
-    "EventKind",
-    "FaultKind",
-    "Side",
-    "OrderType",
-    "TimeInForce",
-)
+FACTS_VERSION = 2
 
 # numpy Generator draw methods and the bit-stream they consume.  Methods
 # mapped to the same class are draw-for-draw equivalent (``random`` and
@@ -271,7 +258,7 @@ class FunctionFacts:
     """Summary of one module-level function or class method.
 
     Nested functions and closures fold into their enclosing function:
-    parity fingerprints must see the helper closures the event loops
+    RNG-flow fingerprints must see the helper closures the event loops
     define inline, and reachability must roll up through them.
     """
 
@@ -283,12 +270,6 @@ class FunctionFacts:
     param_units: dict[str, str] = field(default_factory=dict)
     decorators: tuple[str, ...] = ()
     calls: tuple[CallFacts, ...] = ()
-    # family -> sorted token names referenced anywhere in the body.
-    tokens: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    # family -> sorted token names referenced inside branch tests.
-    branch_tokens: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    # subscripted-name -> sorted constant string keys.
-    subscript_keys: dict[str, tuple[str, ...]] = field(default_factory=dict)
     rng_events: tuple[RngEvent, ...] = ()
     # Receivers of Generator draws that trace to no parameter, seeded
     # construction or attribute: (line, col, receiver).
@@ -323,9 +304,6 @@ class FunctionFacts:
             "param_units": dict(self.param_units),
             "decorators": list(self.decorators),
             "calls": [call.to_dict() for call in self.calls],
-            "tokens": {k: list(v) for k, v in self.tokens.items()},
-            "branch_tokens": {k: list(v) for k, v in self.branch_tokens.items()},
-            "subscript_keys": {k: list(v) for k, v in self.subscript_keys.items()},
             "rng_events": [event.to_dict() for event in self.rng_events],
             "rng_untracked": [list(item) for item in self.rng_untracked],
             "env_reads": [list(item) for item in self.env_reads],
@@ -349,18 +327,6 @@ class FunctionFacts:
             calls=tuple(
                 CallFacts.from_dict(c) for c in data["calls"]  # type: ignore[union-attr]
             ),
-            tokens={
-                str(k): tuple(v)
-                for k, v in data["tokens"].items()  # type: ignore[union-attr]
-            },
-            branch_tokens={
-                str(k): tuple(v)
-                for k, v in data["branch_tokens"].items()  # type: ignore[union-attr]
-            },
-            subscript_keys={
-                str(k): tuple(v)
-                for k, v in data["subscript_keys"].items()  # type: ignore[union-attr]
-            },
             rng_events=tuple(
                 RngEvent.from_dict(e)
                 for e in data["rng_events"]  # type: ignore[union-attr]
@@ -495,46 +461,6 @@ def _is_mutable_literal(node: ast.expr) -> bool:
     return False
 
 
-def _token_of(ctx: FileContext, node: ast.expr, constants: dict[str, tuple[str, str]]) -> tuple[str, str] | None:
-    """(family, token) when ``node`` references an enum-family member."""
-    if isinstance(node, ast.Attribute):
-        dotted = ctx.dotted_name(node)
-        if dotted is None:
-            return None
-        parts = dotted.split(".")
-        if len(parts) >= 2 and parts[-2] in TOKEN_FAMILIES:
-            return parts[-2], parts[-1]
-        return None
-    if isinstance(node, ast.Name):
-        return constants.get(node.id)
-    return None
-
-
-def _collect_token_constants(ctx: FileContext) -> dict[str, tuple[str, str]]:
-    """Module-level ``NAME = Family.TOKEN`` / ``NAME = int(Family.TOKEN)``
-    bindings — the fast paths' plain-int enum encodings."""
-    constants: dict[str, tuple[str, str]] = {}
-    for stmt in ctx.tree.body:
-        if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-            continue
-        target = stmt.targets[0]
-        if not isinstance(target, ast.Name):
-            continue
-        value = stmt.value
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id in ("int", "float")
-            and len(value.args) == 1
-        ):
-            value = value.args[0]
-        if isinstance(value, ast.Attribute):
-            token = _token_of(ctx, value, {})
-            if token is not None:
-                constants[target.id] = token
-    return constants
-
-
 def _dotted_call_target(
     ctx: FileContext, func: ast.expr, aliases: dict[str, str]
 ) -> str | None:
@@ -551,18 +477,13 @@ class _FunctionExtractor(ast.NodeVisitor):
         ctx: FileContext,
         qualname: str,
         node: ast.FunctionDef | ast.AsyncFunctionDef,
-        token_constants: dict[str, tuple[str, str]],
         mutable_globals: dict[str, int],
     ) -> None:
         self.ctx = ctx
         self.qualname = qualname
         self.node = node
-        self.token_constants = token_constants
         self.mutable_globals = mutable_globals
         self.calls: list[CallFacts] = []
-        self.tokens: dict[str, set[str]] = {}
-        self.branch_tokens: dict[str, set[str]] = {}
-        self.subscript_keys: dict[str, set[str]] = {}
         self.rng_events: list[RngEvent] = []
         self.rng_untracked: list[tuple[int, int, str]] = []
         self.env_reads: list[tuple[int, int, str]] = []
@@ -580,7 +501,6 @@ class _FunctionExtractor(ast.NodeVisitor):
         # RNG taint: names known to hold a generator, by origin.
         self.rng_names: dict[str, str] = {}  # name -> 'param' | 'seeded' | 'alias'
         self.rng_bind_lines: dict[str, int] = {}
-        self._branch_depth = 0
         self._loop_depth = 0
         self._shadowed: set[str] = set()
 
@@ -750,41 +670,13 @@ class _FunctionExtractor(ast.NodeVisitor):
             self.visit(stmt)
 
     def visit_While(self, node: ast.While) -> None:
-        self._visit_test(node.test)
+        self.visit(node.test)
         self._loop_depth += 1
         for stmt in node.body:
             self.visit(stmt)
         self._loop_depth -= 1
         for stmt in node.orelse:
             self.visit(stmt)
-
-    def visit_If(self, node: ast.If) -> None:
-        self._visit_test(node.test)
-        for stmt in node.body:
-            self.visit(stmt)
-        for stmt in node.orelse:
-            self.visit(stmt)
-
-    def visit_IfExp(self, node: ast.IfExp) -> None:
-        self._visit_test(node.test)
-        self.visit(node.body)
-        self.visit(node.orelse)
-
-    def visit_Match(self, node: ast.Match) -> None:  # pragma: no cover - 3.10+
-        self._visit_test(node.subject)
-        for case in node.cases:
-            self._branch_depth += 1
-            self.visit(case.pattern)
-            self._branch_depth -= 1
-            if case.guard is not None:
-                self._visit_test(case.guard)
-            for stmt in case.body:
-                self.visit(stmt)
-
-    def _visit_test(self, test: ast.expr) -> None:
-        self._branch_depth += 1
-        self.visit(test)
-        self._branch_depth -= 1
 
     def visit_Return(self, node: ast.Return) -> None:
         if node.value is None:
@@ -987,36 +879,16 @@ class _FunctionExtractor(ast.NodeVisitor):
         self._check_mix(node)
         self.generic_visit(node)
 
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        token = _token_of(self.ctx, node, {})
-        if token is not None:
-            self._record_token(token)
-        self.generic_visit(node)
-
     def visit_Name(self, node: ast.Name) -> None:
-        token = self.token_constants.get(node.id)
-        if token is not None and isinstance(node.ctx, ast.Load):
-            self._record_token(token)
         if node.id in self.mutable_globals:
             if isinstance(node.ctx, ast.Load):
                 self.global_reads.add(node.id)
             else:
                 self.global_writes.add(node.id)
 
-    def _record_token(self, token: tuple[str, str]) -> None:
-        family, name = token
-        self.tokens.setdefault(family, set()).add(name)
-        if self._branch_depth > 0:
-            self.branch_tokens.setdefault(family, set()).add(name)
-
     def visit_Subscript(self, node: ast.Subscript) -> None:
         if isinstance(node.value, ast.Name):
             name = node.value.id
-            if (
-                isinstance(node.slice, ast.Constant)
-                and isinstance(node.slice.value, str)
-            ):
-                self.subscript_keys.setdefault(name, set()).add(node.slice.value)
             if name in self.mutable_globals and not isinstance(
                 node.ctx, ast.Load
             ):
@@ -1095,13 +967,6 @@ class _FunctionExtractor(ast.NodeVisitor):
             param_units=param_units,
             decorators=decorators,
             calls=tuple(self.calls),
-            tokens={k: tuple(sorted(v)) for k, v in sorted(self.tokens.items())},
-            branch_tokens={
-                k: tuple(sorted(v)) for k, v in sorted(self.branch_tokens.items())
-            },
-            subscript_keys={
-                k: tuple(sorted(v)) for k, v in sorted(self.subscript_keys.items())
-            },
             rng_events=tuple(self.rng_events),
             rng_untracked=tuple(self.rng_untracked),
             env_reads=tuple(self.env_reads),
@@ -1230,7 +1095,6 @@ def _collect_directives(ctx: FileContext) -> tuple[
 def extract_facts(ctx: FileContext) -> ModuleFacts:
     """Condense one parsed file into its :class:`ModuleFacts`."""
     facts = ModuleFacts(path=ctx.path, module=module_name_for(ctx.path))
-    token_constants = _collect_token_constants(ctx)
     _module_level_scan(ctx, facts)
 
     imports: set[str] = set()
@@ -1248,7 +1112,7 @@ def extract_facts(ctx: FileContext) -> ModuleFacts:
         node: ast.FunctionDef | ast.AsyncFunctionDef, qualname: str
     ) -> None:
         extractor = _FunctionExtractor(
-            ctx, qualname, node, token_constants, facts.mutable_globals
+            ctx, qualname, node, facts.mutable_globals
         )
         extractor.visit(node)
         facts.functions[qualname] = extractor.finish()

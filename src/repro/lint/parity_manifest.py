@@ -1,25 +1,23 @@
 """The declared fast/reference parity surface, pinned as data.
 
-Every runtime switch that selects between two implementations of the
-same semantics is listed here with the pair of definitions it selects
-between.  RL006 (:mod:`repro.lint.project_rules`) checks each pair's
-extracted fingerprints — public surfaces, enum-token families, branch
-tokens, RNG-draw flows, stats keys, constructor keyword sets — and
-fails lint when a refactor touches one side without the other, *before*
-any parity test runs.
+Every pair of definitions that implement the same semantics is listed
+here.  RL006 (:mod:`repro.lint.project_rules`) checks that both sides
+of each pair exist and draw from the RNG in the same normalised order,
+and fails lint when a refactor renames one side or reorders its draws
+without the other, *before* any golden-digest test runs.
 
-``tests/test_parity_manifest.py`` asserts the manifest stays complete:
-every ``REPRO_*`` switch that selects between implementations (see
-:func:`selector_switches`) must appear here.
+No ``REPRO_*`` variable selects between implementations any more;
+``tests/test_parity_manifest.py`` keeps it that way through
+:func:`selector_switches`, and any switch that did reappear would have
+to be listed here.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
-    "ClassPair",
     "FunctionPair",
     "PARITY_PAIRS",
     "manifest_switches",
@@ -29,103 +27,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FunctionPair:
-    """Two functions that must keep mirrored behaviour fingerprints.
+    """Two functions that must keep the same RNG draw flow.
 
-    ``reference`` and ``fast`` are ``(module, qualname)`` pairs.  The
-    ``*_only_tokens`` allowances record *accepted* asymmetries (e.g. the
-    fast agents spell out ``OrderType.LIMIT`` where the reference path
-    relies on ``Order`` defaults) so anything beyond them is drift.
+    ``reference`` and ``fast`` are ``(module, qualname)`` pairs;
+    ``switch`` names the ``REPRO_*`` variable that picks between them,
+    or None when the run's inputs do.
     """
 
     name: str
     switch: str | None
     reference: tuple[str, str]
     fast: tuple[str, str]
-    compare_tokens: bool = True
-    compare_branch_tokens: bool = True
-    compare_rng_flow: bool = True
-    # Subscripted receiver names whose constant string keys must match
-    # (e.g. two loops that both update stats["considered"|...]).
-    stats_names: tuple[str, ...] = ()
-    # Call-target tails whose keyword-argument name sets must match
-    # (e.g. two loops that both construct Decision(point=, ...)).
-    ctor_kwargs: tuple[str, ...] = ()
-    fast_only_tokens: frozenset[str] = field(default_factory=frozenset)
-    reference_only_tokens: frozenset[str] = field(default_factory=frozenset)
-
-
-@dataclass(frozen=True)
-class ClassPair:
-    """Two classes that must keep mirrored public surfaces."""
-
-    name: str
-    switch: str | None
-    reference: tuple[str, str]
-    fast: tuple[str, str]
-    fast_only_methods: frozenset[str] = field(default_factory=frozenset)
-    reference_only_methods: frozenset[str] = field(default_factory=frozenset)
 
 
 _BACKTEST = "repro.sim.backtest"
-_GENERATOR = "repro.market.generator"
-_AGENTS = "repro.market.agents"
 
-PARITY_PAIRS: tuple[FunctionPair | ClassPair, ...] = (
+PARITY_PAIRS: tuple[FunctionPair, ...] = (
     FunctionPair(
         name="backtest-fixed-system-loop",
         # Picked by the run's inputs (fault plan or not), not by a knob.
         switch=None,
         reference=(_BACKTEST, "Backtester._run_fixed_system"),
         fast=(_BACKTEST, "Backtester._run_fixed_system_fast"),
-        # The fast fixed-system path is queue-free (array-driven over the
-        # arrival stream) and never touches EventKind; token mirroring
-        # does not apply, RNG-flow parity still does.
-        compare_tokens=False,
-        compare_branch_tokens=False,
-    ),
-    FunctionPair(
-        name="market-generator-loop",
-        switch="REPRO_MARKET_FAST",
-        reference=(_GENERATOR, "MarketSimulator._generate_reference"),
-        fast=(_GENERATOR, "MarketSimulator._generate_fast"),
-    ),
-    ClassPair(
-        name="lob-matching-engine",
-        switch="REPRO_LOB_ENGINE",
-        reference=("repro.lob.matching", "MatchingEngine"),
-        fast=("repro.lob.array_matching", "ArrayMatchingEngine"),
-        # The batch kernel is the array engine's raison d'être; the
-        # generator only uses it when the array engine is active.
-        fast_only_methods=frozenset({"replay_ops"}),
-    ),
-    FunctionPair(
-        name="agent-market-maker",
-        switch=None,
-        reference=(_AGENTS, "MarketMaker.act"),
-        fast=(_AGENTS, "MarketMaker.act_fast"),
-        # act relies on Order's LIMIT/DAY defaults; act_fast plans
-        # plain-int ops and must spell the encodings out.
-        fast_only_tokens=frozenset({"OrderType.LIMIT", "TimeInForce.DAY"}),
-    ),
-    FunctionPair(
-        name="agent-liquidity-taker",
-        switch=None,
-        reference=(_AGENTS, "LiquidityTaker.act"),
-        fast=(_AGENTS, "LiquidityTaker.act_fast"),
-        fast_only_tokens=frozenset({"OrderType.LIMIT"}),
-    ),
-    FunctionPair(
-        name="agent-momentum-trader",
-        switch=None,
-        reference=(_AGENTS, "MomentumTrader.act"),
-        fast=(_AGENTS, "MomentumTrader.act_fast"),
-        fast_only_tokens=frozenset({"TimeInForce.DAY"}),
-    ),
-    FunctionPair(
-        name="agent-mix-sample",
-        switch=None,
-        reference=(_AGENTS, "AgentMix.sample"),
-        fast=(_AGENTS, "AgentMix.sample_fast"),
     ),
 )
 
@@ -146,8 +69,8 @@ def selector_switches() -> frozenset[str]:
 
     A variable is a selector when it is a choice between named engines
     (one of them ``reference``/``array``) or a boolean whose doc names a
-    fast/reference/golden-model alternative.  The manifest-completeness
-    test pins this discovery against :func:`manifest_switches`.
+    fast/reference/golden-model alternative.  The manifest tests pin
+    this discovery to the empty set: one implementation per behaviour.
     """
     from repro import envcfg
 

@@ -73,12 +73,6 @@ class ProjectModel:
             return None
         return FunctionRef(module, qualname, fn)
 
-    def class_methods(self, module: str, cls: str) -> tuple[str, ...] | None:
-        facts = self.modules.get(module)
-        if facts is None:
-            return None
-        return facts.classes.get(cls)
-
     # -- call resolution ----------------------------------------------------
 
     def resolve_call(

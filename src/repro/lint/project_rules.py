@@ -21,7 +21,7 @@ import re
 
 from repro.lint import Finding
 from repro.lint.facts import ModuleFacts
-from repro.lint.parity_manifest import PARITY_PAIRS, ClassPair, FunctionPair
+from repro.lint.parity_manifest import PARITY_PAIRS, FunctionPair
 from repro.lint.project import ProjectModel
 
 __all__ = [
@@ -97,14 +97,12 @@ def project_rule_findings(model: ProjectModel) -> list[Finding]:
 
 @_register
 class ParitySurfaceDrift(ProjectRule):
-    """Fast/reference pairs must keep mirrored behaviour fingerprints.
+    """Declared fast/reference pairs must keep the same RNG draw flow.
 
     For every pair in :data:`~repro.lint.parity_manifest.PARITY_PAIRS`
-    the extracted fingerprints — enum-token families, branch tokens,
-    RNG-draw flows, stats keys, constructor keyword sets, public method
-    surfaces — must match up to the pair's declared allowances.  A
-    branch or op handler added on one side only fails lint before any
-    runtime parity test gets a chance to notice.
+    both sides must exist, and their normalised RNG-draw flows must
+    match.  A rename or a reordered draw on one side only fails lint
+    before any golden-digest test gets a chance to notice.
     """
 
     code = "RL006"
@@ -116,18 +114,13 @@ class ParitySurfaceDrift(ProjectRule):
 
     def check(self) -> None:
         for pair in PARITY_PAIRS:
-            if isinstance(pair, FunctionPair):
-                self._check_function_pair(pair)
-            else:
-                self._check_class_pair(pair)
+            self._check_pair(pair)
 
-    # -- helpers ------------------------------------------------------------
-
-    def _label(self, pair: FunctionPair | ClassPair) -> str:
+    def _label(self, pair: FunctionPair) -> str:
         switch = f" [{pair.switch}]" if pair.switch else ""
         return f"parity pair '{pair.name}'{switch}"
 
-    def _check_function_pair(self, pair: FunctionPair) -> None:
+    def _check_pair(self, pair: FunctionPair) -> None:
         ref_mod = self.model.facts_for(pair.reference[0])
         fast_mod = self.model.facts_for(pair.fast[0])
         if ref_mod is None and fast_mod is None:
@@ -171,17 +164,7 @@ class ParitySurfaceDrift(ProjectRule):
                 "renamed or removed without the other",
             )
             return
-        if pair.compare_tokens:
-            self._compare_token_maps(
-                pair, ref_mod, fast_mod, ref.tokens, fast.tokens,
-                ref.line, fast.line, kind="token",
-            )
-        if pair.compare_branch_tokens:
-            self._compare_token_maps(
-                pair, ref_mod, fast_mod, ref.branch_tokens, fast.branch_tokens,
-                ref.line, fast.line, kind="branch",
-            )
-        if pair.compare_rng_flow and ref.rng_flow != fast.rng_flow:
+        if ref.rng_flow != fast.rng_flow:
             self.report(
                 fast_mod,
                 fast.line,
@@ -189,131 +172,6 @@ class ParitySurfaceDrift(ProjectRule):
                 f"{self._label(pair)}: RNG draw flows diverge — reference "
                 f"consumes {list(ref.rng_flow)!r}, fast consumes "
                 f"{list(fast.rng_flow)!r}; the streams will desynchronize",
-            )
-        for stats_name in pair.stats_names:
-            ref_keys = set(ref.subscript_keys.get(stats_name, ()))
-            fast_keys = set(fast.subscript_keys.get(stats_name, ()))
-            if ref_keys != fast_keys:
-                self.report(
-                    fast_mod,
-                    fast.line,
-                    1,
-                    f"{self._label(pair)}: '{stats_name}' keys diverge — "
-                    f"reference touches {sorted(ref_keys)}, fast touches "
-                    f"{sorted(fast_keys)}",
-                )
-        for ctor in pair.ctor_kwargs:
-            ref_kwargs = self._ctor_kwargs(ref, ctor)
-            fast_kwargs = self._ctor_kwargs(fast, ctor)
-            if ref_kwargs != fast_kwargs:
-                self.report(
-                    fast_mod,
-                    fast.line,
-                    1,
-                    f"{self._label(pair)}: {ctor}(...) keyword sets diverge "
-                    f"— reference passes {sorted(ref_kwargs)}, fast passes "
-                    f"{sorted(fast_kwargs)}",
-                )
-
-    @staticmethod
-    def _ctor_kwargs(fn: object, ctor: str) -> set[str]:
-        kwargs: set[str] = set()
-        for call in fn.calls:  # type: ignore[attr-defined]
-            tail = call.target.rsplit(".", 1)[-1]
-            if tail == ctor:
-                kwargs.update(name for name, _ in call.kwarg_units)
-        return kwargs
-
-    def _compare_token_maps(
-        self,
-        pair: FunctionPair,
-        ref_mod: ModuleFacts,
-        fast_mod: ModuleFacts,
-        ref_tokens: dict[str, tuple[str, ...]],
-        fast_tokens: dict[str, tuple[str, ...]],
-        ref_line: int,
-        fast_line: int,
-        kind: str,
-    ) -> None:
-        families = set(ref_tokens) | set(fast_tokens)
-        what = "branches on" if kind == "branch" else "references"
-        for family in sorted(families):
-            ref_set = {f"{family}.{t}" for t in ref_tokens.get(family, ())}
-            fast_set = {f"{family}.{t}" for t in fast_tokens.get(family, ())}
-            fast_extra = fast_set - ref_set - pair.fast_only_tokens
-            ref_extra = ref_set - fast_set - pair.reference_only_tokens
-            if fast_extra:
-                self.report(
-                    fast_mod,
-                    fast_line,
-                    1,
-                    f"{self._label(pair)}: fast side {what} "
-                    f"{sorted(fast_extra)} but the reference side does not — "
-                    "mirror the change or add a manifest allowance",
-                )
-            if ref_extra:
-                self.report(
-                    ref_mod,
-                    ref_line,
-                    1,
-                    f"{self._label(pair)}: reference side {what} "
-                    f"{sorted(ref_extra)} but the fast side does not — "
-                    "mirror the change or add a manifest allowance",
-                )
-
-    def _check_class_pair(self, pair: ClassPair) -> None:
-        ref_mod = self.model.facts_for(pair.reference[0])
-        fast_mod = self.model.facts_for(pair.fast[0])
-        if ref_mod is None and fast_mod is None:
-            return
-        if ref_mod is None or fast_mod is None:
-            present, missing = (
-                (fast_mod, pair.reference) if ref_mod is None else (ref_mod, pair.fast)
-            )
-            assert present is not None
-            self.report(
-                present,
-                1,
-                1,
-                f"{self._label(pair)}: module {missing[0]} is missing from "
-                "the project — update the manifest or restore the module",
-            )
-            return
-        ref_methods = ref_mod.classes.get(pair.reference[1])
-        fast_methods = fast_mod.classes.get(pair.fast[1])
-        if ref_methods is None or fast_methods is None:
-            side_mod, missing = (
-                (fast_mod, pair.reference) if ref_methods is None else (ref_mod, pair.fast)
-            )
-            self.report(
-                side_mod,
-                1,
-                1,
-                f"{self._label(pair)}: class {missing[1]} not found in "
-                f"{missing[0]} — one engine was renamed without the other",
-            )
-            return
-        ref_public = {m for m in ref_methods if not m.startswith("_")}
-        fast_public = {m for m in fast_methods if not m.startswith("_")}
-        fast_extra = fast_public - ref_public - pair.fast_only_methods
-        ref_extra = ref_public - fast_public - pair.reference_only_methods
-        if fast_extra:
-            self.report(
-                fast_mod,
-                1,
-                1,
-                f"{self._label(pair)}: {pair.fast[1]} grew public methods "
-                f"{sorted(fast_extra)} absent from {pair.reference[1]} — "
-                "mirror the surface or add a manifest allowance",
-            )
-        if ref_extra:
-            self.report(
-                ref_mod,
-                1,
-                1,
-                f"{self._label(pair)}: {pair.reference[1]} has public methods "
-                f"{sorted(ref_extra)} absent from {pair.fast[1]} — "
-                "mirror the surface or add a manifest allowance",
             )
 
 

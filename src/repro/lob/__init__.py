@@ -1,10 +1,10 @@
 """Limit order book substrate: orders, books, matching, snapshots, events.
 
-Two interchangeable engines live here: the object-per-order golden
-reference (:class:`LimitOrderBook` + :class:`MatchingEngine`) and the
-struct-of-arrays fast path (:class:`ArrayBook` +
-:class:`ArrayMatchingEngine`).  Pick via
-``REPRO_LOB_ENGINE`` through :func:`make_matching_engine`.
+One matching engine lives here: the struct-of-arrays
+:class:`ArrayMatchingEngine` over :class:`ArrayBook`, with a per-op API
+returning :class:`MatchResult` and the :class:`ReplaySession` batch
+kernel the market generator drives.  The object-per-order
+:class:`LimitOrderBook` stays as the feed handler's local book mirror.
 """
 
 from repro.lob.array_book import ArrayBook, ArraySide, LevelView, OrderSlab
@@ -15,14 +15,12 @@ from repro.lob.array_matching import (
     ReplayStats,
 )
 from repro.lob.book import BookSide, LimitOrderBook, PriceLevel
-from repro.lob.engine import AnyMatchingEngine, make_matching_engine
 from repro.lob.events import BookUpdate, MarketEvent, TradeTick, UpdateAction
-from repro.lob.matching import MatchingEngine, MatchResult
+from repro.lob.matching import MatchResult
 from repro.lob.order import Fill, Order, OrderType, Side, TimeInForce, next_order_id
 from repro.lob.snapshot import CANONICAL_DEPTH, FEATURES_PER_LEVEL, DepthSnapshot
 
 __all__ = [
-    "AnyMatchingEngine",
     "ArrayBook",
     "ArrayMatchingEngine",
     "ArraySide",
@@ -36,7 +34,6 @@ __all__ = [
     "LimitOrderBook",
     "MarketEvent",
     "MatchResult",
-    "MatchingEngine",
     "OpBatch",
     "Order",
     "OrderSlab",
@@ -48,6 +45,5 @@ __all__ = [
     "TimeInForce",
     "TradeTick",
     "UpdateAction",
-    "make_matching_engine",
     "next_order_id",
 ]

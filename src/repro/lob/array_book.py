@@ -22,12 +22,12 @@ out).  Plain lists keep the same packed struct-of-arrays layout — and
 the batch kernel's checkout/commit becomes cheap list copies instead of
 ``tolist``/``asarray`` round-trips.
 
-The book exposes the same read surface as the reference
-(``best_bid``/``best_ask``/``mid_price``/``spread``/``is_crossed``/
-``__contains__``/``top``), so :class:`repro.lob.snapshot.DepthSnapshot`
-and the market agents work against either engine unchanged.  All trading
-semantics live in :class:`repro.lob.array_matching.ArrayMatchingEngine`,
-mirroring the book/matching split of the reference implementation.
+The book exposes the same read surface as the object-per-order
+:class:`~repro.lob.book.LimitOrderBook` (``best_bid``/``best_ask``/
+``mid_price``/``spread``/``is_crossed``/``__contains__``/``top``), so
+:class:`repro.lob.snapshot.DepthSnapshot` captures either kind of book
+unchanged.  All trading semantics live in
+:class:`repro.lob.array_matching.ArrayMatchingEngine`.
 """
 
 from __future__ import annotations

@@ -1,35 +1,32 @@
-"""Array-native matching engine: bit-exact fast path over the SoA book.
+"""Array-native matching engine over the struct-of-arrays book.
 
-:class:`ArrayMatchingEngine` mirrors
-:class:`repro.lob.matching.MatchingEngine` operation for operation —
-same fills, same :class:`~repro.lob.events.MarketEvent` stream, same
-sequence numbers — but keeps all book state in the struct-of-arrays
+:class:`ArrayMatchingEngine` is the repository's one matching engine:
+price–time priority with all book state in the struct-of-arrays
 :class:`~repro.lob.array_book.ArrayBook` instead of per-order Python
 objects.  The differential suite (``tests/test_lob_array_parity.py``)
-and the generator byte-equality gate in CI hold the two engines to
-exact parity, following the discipline of ``tests/test_sweep_parity.py``
-and ``tests/test_loop_parity.py``.
+holds it fill for fill, event for event and sequence number for
+sequence number against the object-per-order test oracle in
+``tests/lob_oracle.py``; ``tests/data/market_golden.json`` pins the
+tapes the market generator drives through it.
 
 Three execution surfaces:
 
-- the :class:`MatchingEngine`-shaped per-operation API
-  (``submit``/``cancel``/``replace`` returning :class:`MatchResult`),
-  for drop-in use by the gateway and market agents;
+- the per-operation API (``submit``/``cancel``/``replace`` returning
+  :class:`MatchResult`), used by the exchange gateway and for seeding
+  books;
 - :class:`ReplaySession`, the checked-out batch kernel: the slab
   columns and price-level lists are copied out once, operations replay
   as pure integer arithmetic with price–time priority (no per-op
   ``Order``/``Fill``/``MatchResult``/event objects), and
   :meth:`ReplaySession.commit` swaps the buffers back into the book in
   O(1).  Sequence numbers advance exactly as the per-op path would, so
-  a per-op replay of the same stream lands on the same sequence — this
-  is what lets the market generator's fast path produce byte-identical
-  tapes;
+  a per-op replay of the same stream lands on the same sequence; the
+  market generator's agents plan their ops against one;
 - :meth:`ArrayMatchingEngine.replay_ops`, a thin driver that replays a
   whole :class:`OpBatch` through one :class:`ReplaySession` and returns
   :class:`ReplayStats` checksums.
 
-Both engines share one FOK semantics fix: time-in-force FOK is enforced
-for MARKET orders too (historically only LIMIT+FOK was checked, so a
+FOK semantics: time-in-force FOK is enforced for MARKET orders too (historically only LIMIT+FOK was checked, so a
 MARKET+FOK order silently degraded to IOC), and ``replace`` re-runs the
 FOK check on the replacement because it resubmits through ``submit``.
 """
@@ -164,8 +161,8 @@ class ReplaySession:
     committed state — the same contract ``replay_ops`` has always had.
 
     Sequence-number accounting matches the per-op engine tick for tick
-    (one per trade print, one per book update), which is what lets the
-    market generator's fast path emit byte-identical snapshots.  Per-op
+    (one per trade print, one per book update), so a session and a
+    per-op replay of the same ops end on the same sequence number.  Per-op
     results surface allocation-free through ``op_filled`` / ``op_rested``
     (last submit) and the sticky ``trade_price`` / ``trade_qty`` pair
     (last matched level), with running totals in ``traded_quantity``,
@@ -646,12 +643,10 @@ class ReplaySession:
 class ArrayMatchingEngine:
     """Price–time-priority matching over struct-of-arrays books.
 
-    Drop-in for :class:`repro.lob.matching.MatchingEngine`: same public
-    surface, same results, same event sequences.  ``metrics`` threads a
-    :class:`repro.metrics.MetricRegistry` through the hot path (orders /
-    fills / cancels counters, level-count and slab-occupancy high-water
-    gauges — the same instruments the reference engine records, so
-    metric snapshots are engine-agnostic too).
+    ``metrics`` threads a :class:`repro.metrics.MetricRegistry` through
+    the hot path: orders / fills / cancels / replaces counters plus
+    level-count and slab-occupancy high-water gauges (occupancy =
+    resting orders).
     """
 
     def __init__(self, metrics: MetricRegistry | None = None) -> None:

@@ -161,8 +161,9 @@ class LimitOrderBook:
     """A full two-sided book for one security symbol.
 
     The book is a passive container: it stores and organises resting
-    orders.  All trading semantics (matching, cancels, replaces) live in
-    :class:`repro.lob.matching.MatchingEngine`.
+    orders.  The feed handler keeps one as its local mirror of the
+    exchange book; matching lives in
+    :class:`repro.lob.array_matching.ArrayMatchingEngine`.
     """
 
     def __init__(self, symbol: str) -> None:

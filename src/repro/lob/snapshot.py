@@ -78,7 +78,7 @@ class DepthSnapshot:
         constructor but ~2.5x cheaper: it populates the instance dict
         directly instead of going through the frozen dataclass's
         ``object.__setattr__``-per-field ``__init__``.  The market
-        generator's fast path builds one snapshot per tick through this.
+        generator builds one snapshot per tick through this.
         """
         snapshot = cls.__new__(cls)
         d = snapshot.__dict__

@@ -3,7 +3,6 @@
 from repro.market.agents import (
     Agent,
     AgentMix,
-    FastMarketContext,
     LiquidityTaker,
     MarketContext,
     MarketMaker,
@@ -25,7 +24,6 @@ __all__ = [
     "ExchangeGateway",
     "ExecType",
     "ExecutionReport",
-    "FastMarketContext",
     "GatewayStats",
     "HawkesParams",
     "HawkesProcess",

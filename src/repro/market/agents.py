@@ -1,24 +1,17 @@
 """Order-flow agents that generate realistic exchange activity.
 
 The synthetic market is agent-based: at every Hawkes arrival one agent
-acts on the shared matching engine.  The mix below reproduces the three
+acts on the shared order book.  The mix below reproduces the three
 ingredients the paper's traffic analysis relies on — passive liquidity
 (market makers re-quoting), aggressive flow (takers), and order-chasing
 behaviour that amplifies bursts (momentum traders) — while keeping the
 book two-sided and mean-reverting around a slowly moving reference price.
 
-Each agent exposes two equivalent surfaces:
-
-- ``act`` runs operations through the per-op engine API (the reference
-  path, any engine);
-- ``act_fast`` plans the same operations as plain-int records against a
-  checked-out :class:`~repro.lob.array_matching.ReplaySession` — no
-  ``Order``/``MatchResult`` objects per arrival.  The RNG draw sequence
-  is kept identical draw for draw (``rng.random()`` advances the
-  bit-stream exactly like ``rng.uniform()``, and the mix's CDF-bisect
-  sampling consumes the same single draw ``rng.choice(p=...)`` does), so
-  the generator's fast path produces byte-identical tapes — CI holds it
-  to that with a sha256 gate.
+Agents plan their operations as plain-int records against a checked-out
+:class:`~repro.lob.array_matching.ReplaySession` — no
+``Order``/``MatchResult`` objects per arrival.  Each agent's RNG draw
+sequence is part of the tape's identity: ``tests/data/market_golden.json``
+pins the resulting tapes byte for byte.
 """
 
 from __future__ import annotations
@@ -26,18 +19,13 @@ from __future__ import annotations
 import abc
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 
-from repro.lob.array_book import ArrayBook
 from repro.lob.array_matching import ReplaySession
-from repro.lob.book import LimitOrderBook
-from repro.lob.engine import AnyMatchingEngine, make_matching_engine
-from repro.lob.matching import MatchResult
-from repro.lob.order import Order, OrderType, Side, TimeInForce, next_order_id
+from repro.lob.order import OrderType, Side, TimeInForce, next_order_id
 
-# Plain-int encodings for the fast path (== the enum values).
+# Plain-int encodings of the order enums (== the enum values).
 _BID = int(Side.BID)
 _ASK = int(Side.ASK)
 _LIMIT = int(OrderType.LIMIT)
@@ -47,41 +35,13 @@ _IOC = int(TimeInForce.IOC)
 _SIGN = (1, -1)  # Side.sign by int side
 
 
-@dataclass
 class MarketContext:
     """Mutable state shared between agents while generating a session.
-
-    The engine comes from :func:`repro.lob.engine.make_matching_engine`,
-    so ``REPRO_LOB_ENGINE`` decides whether agents trade against the
-    struct-of-arrays book or the object-per-order reference.
-    """
-
-    symbol: str
-    reference_price: float  # slowly drifting fair value, in ticks
-    last_direction: int = 0  # sign of the last trade-driven mid move
-    engine: AnyMatchingEngine = field(default_factory=make_matching_engine)
-
-    @property
-    def book(self) -> "LimitOrderBook | ArrayBook":
-        """The symbol's live book."""
-        return self.engine.book(self.symbol)
-
-    def anchor_price(self) -> int:
-        """Best integer price to quote around: the mid if the book is
-        two-sided, else the drifting reference price."""
-        mid = self.book.mid_price
-        return round(mid) if mid is not None else round(self.reference_price)
-
-
-class FastMarketContext:
-    """Session-backed twin of :class:`MarketContext` for ``act_fast``.
 
     Reads (best bid/ask, anchor price) come from the checked-out
     :class:`~repro.lob.array_matching.ReplaySession` buffers, writes go
     through the session's integer ops; the live book is only touched at
-    commit.  ``anchor_price`` reproduces the reference context's float
-    math exactly (same rounding of the same mid), which the tape parity
-    gate depends on.
+    commit.
     """
 
     __slots__ = ("symbol", "reference_price", "last_direction", "session", "_owner_ids")
@@ -90,8 +50,8 @@ class FastMarketContext:
         self, symbol: str, reference_price: float, session: ReplaySession
     ) -> None:
         self.symbol = symbol
-        self.reference_price = reference_price
-        self.last_direction = 0
+        self.reference_price = reference_price  # slowly drifting fair value, in ticks
+        self.last_direction = 0  # sign of the last trade-driven mid move
         self.session = session
         self._owner_ids: dict[str, int] = {}
 
@@ -114,28 +74,14 @@ class FastMarketContext:
 
 
 class Agent(abc.ABC):
-    """One participant archetype; ``act`` performs engine operations.
-
-    ``fast_capable`` subclasses also implement ``act_fast``, the same
-    behaviour planned as plain-int ops against a
-    :class:`~repro.lob.array_matching.ReplaySession` with an identical
-    RNG draw sequence; it returns True when the arrival produced market
-    events (the reference loop's ``any(result.events ...)`` test).
-    """
-
-    fast_capable: ClassVar[bool] = False
+    """One participant archetype; ``act`` plans session operations."""
 
     @abc.abstractmethod
     def act(
         self, ctx: MarketContext, timestamp: int, rng: np.random.Generator
-    ) -> list[MatchResult]:
-        """Perform zero or more operations at ``timestamp``; return results."""
-
-    def act_fast(
-        self, fctx: FastMarketContext, timestamp: int, rng: np.random.Generator
     ) -> bool:
-        """Plan the same operations through ``fctx.session`` (fast path)."""
-        raise NotImplementedError(f"{type(self).__name__} has no fast path")
+        """Plan zero or more operations at ``timestamp`` through
+        ``ctx.session``; True when the arrival produced market events."""
 
 
 class MarketMaker(Agent):
@@ -154,44 +100,15 @@ class MarketMaker(Agent):
 
     def act(
         self, ctx: MarketContext, timestamp: int, rng: np.random.Generator
-    ) -> list[MatchResult]:
-        results: list[MatchResult] = []
-        book = ctx.book
-        # Recycle stale quotes beyond the live bound.
-        while len(self._live) >= self.max_live_quotes:
-            order_id = self._live.pop(0)
-            if order_id in book:
-                results.append(ctx.engine.cancel(ctx.symbol, order_id, timestamp))
-        anchor = ctx.anchor_price()
-        side = Side.BID if rng.uniform() < 0.5 else Side.ASK
-        offset = int(rng.integers(1, self.max_depth + 1))
-        price = anchor - offset if side is Side.BID else anchor + offset
-        if price <= 0:
-            return results
-        order = Order(
-            side=side,
-            price=price,
-            quantity=int(rng.integers(1, 10)),
-            owner=self.name,
-        )
-        results.append(ctx.engine.submit(ctx.symbol, order, timestamp))
-        if order.order_id in book:
-            self._live.append(order.order_id)
-        return results
-
-    fast_capable = True
-
-    def act_fast(
-        self, fctx: FastMarketContext, timestamp: int, rng: np.random.Generator
     ) -> bool:
-        session = fctx.session
+        session = ctx.session
         had_events = False
         while len(self._live) >= self.max_live_quotes:
             order_id = self._live.pop(0)
             if session.contains(order_id):
                 session.cancel(order_id)
                 had_events = True
-        anchor = fctx.anchor_price()
+        anchor = ctx.anchor_price()
         side = _BID if rng.random() < 0.5 else _ASK
         offset = int(rng.integers(1, self.max_depth + 1))
         price = anchor - offset if side == _BID else anchor + offset
@@ -201,7 +118,7 @@ class MarketMaker(Agent):
         order_id = next_order_id()
         session.submit(
             side, _LIMIT, _DAY, price, quantity, order_id, timestamp,
-            fctx.owner_id(self.name),
+            ctx.owner_id(self.name),
         )
         if session.op_rested:
             self._live.append(order_id)
@@ -218,30 +135,8 @@ class LiquidityTaker(Agent):
 
     def act(
         self, ctx: MarketContext, timestamp: int, rng: np.random.Generator
-    ) -> list[MatchResult]:
-        book = ctx.book
-        if book.best_bid is None or book.best_ask is None:
-            return []
-        side = Side.BID if rng.uniform() < 0.5 else Side.ASK
-        touch = book.best_ask if side is Side.BID else book.best_bid
-        order = Order(
-            side=side,
-            price=touch,
-            quantity=int(rng.integers(1, 6)),
-            tif=TimeInForce.IOC,
-            owner=self.name,
-        )
-        result = ctx.engine.submit(ctx.symbol, order, timestamp)
-        if result.fills:
-            ctx.last_direction = side.sign
-        return [result]
-
-    fast_capable = True
-
-    def act_fast(
-        self, fctx: FastMarketContext, timestamp: int, rng: np.random.Generator
     ) -> bool:
-        session = fctx.session
+        session = ctx.session
         best_bid = session.best_bid()
         best_ask = session.best_ask()
         if best_bid is None or best_ask is None:
@@ -251,10 +146,10 @@ class LiquidityTaker(Agent):
         quantity = int(rng.integers(1, 6))
         session.submit(
             side, _LIMIT, _IOC, touch, quantity, next_order_id(), timestamp,
-            fctx.owner_id(self.name),
+            ctx.owner_id(self.name),
         )
         if session.op_filled:
-            fctx.last_direction = _SIGN[side]
+            ctx.last_direction = _SIGN[side]
             return True
         # An unfilled IOC leaves no trace (no fills, no resting update).
         return False
@@ -268,37 +163,17 @@ class MomentumTrader(Agent):
 
     def act(
         self, ctx: MarketContext, timestamp: int, rng: np.random.Generator
-    ) -> list[MatchResult]:
-        if ctx.last_direction == 0:
-            return []
-        book = ctx.book
-        if book.best_bid is None or book.best_ask is None:
-            return []
-        side = Side.BID if ctx.last_direction > 0 else Side.ASK
-        order = Order(
-            side=side,
-            price=1,
-            quantity=int(rng.integers(1, 4)),
-            order_type=OrderType.MARKET,
-            owner=self.name,
-        )
-        return [ctx.engine.submit(ctx.symbol, order, timestamp)]
-
-    fast_capable = True
-
-    def act_fast(
-        self, fctx: FastMarketContext, timestamp: int, rng: np.random.Generator
     ) -> bool:
-        if fctx.last_direction == 0:
+        if ctx.last_direction == 0:
             return False
-        session = fctx.session
+        session = ctx.session
         if session.best_bid() is None or session.best_ask() is None:
             return False
-        side = _BID if fctx.last_direction > 0 else _ASK
+        side = _BID if ctx.last_direction > 0 else _ASK
         quantity = int(rng.integers(1, 4))
         session.submit(
             side, _MARKET, _DAY, 1, quantity, next_order_id(), timestamp,
-            fctx.owner_id(self.name),
+            ctx.owner_id(self.name),
         )
         return session.op_filled > 0
 
@@ -309,7 +184,7 @@ class AgentMix:
 
     agents: tuple[Agent, ...]
     weights: tuple[float, ...]
-    # Normalized CDF of the weights, cached for sample_fast's bisect.
+    # Normalized CDF of the weights, cached for sample's bisect.
     _cdf: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -325,23 +200,13 @@ class AgentMix:
         cdf /= cdf[-1]
         object.__setattr__(self, "_cdf", cdf.tolist())
 
-    @property
-    def supports_fast(self) -> bool:
-        """True when every agent in the mix implements ``act_fast``."""
-        return all(agent.fast_capable for agent in self.agents)
-
     def sample(self, rng: np.random.Generator) -> Agent:
-        """Draw one agent according to the mix weights."""
-        probs = np.asarray(self.weights, dtype=float)
-        probs /= probs.sum()
-        return self.agents[int(rng.choice(len(self.agents), p=probs))]
+        """Draw one agent according to the mix weights.
 
-    def sample_fast(self, rng: np.random.Generator) -> Agent:
-        """Draw-identical twin of :meth:`sample` without the numpy round
-        trip: ``rng.choice(n, p=probs)`` inverts the probability CDF on a
-        single ``rng.random()`` draw, so bisecting the cached CDF on the
-        same draw selects the same agent and leaves the bit-stream in the
-        same state (pinned by the fast-path parity tests)."""
+        Bisecting the cached CDF on one ``rng.random()`` draw selects the
+        agent ``rng.choice(n, p=probs)`` would, and leaves the bit-stream
+        in the same state (both invert the CDF on a single double).
+        """
         return self.agents[bisect_right(self._cdf, rng.random())]
 
 

@@ -5,46 +5,35 @@ bursty tick timestamps (Hawkes), realistic two-sided book dynamics
 (agent-based order flow through a real price–time-priority matching
 engine), and per-tick depth snapshots recorded as a :class:`TickTape`.
 
-Two generation paths produce byte-identical tapes (CI gates the sha256):
-
-- the **reference loop** runs every agent action through the per-op
-  engine API — any engine, one ``MatchResult`` list per arrival;
-- the **fast path** (``REPRO_MARKET_FAST``, default on, array engine
-  only) checks the book out into a
-  :class:`~repro.lob.array_matching.ReplaySession` once per arrival
-  chunk and lets agents plan plain-int ops against it — no per-arrival
-  ``Order``/``MatchResult``/event objects, snapshots sliced straight
-  from the session's packed level lists.  The RNG draw sequence and the
-  reference-price drift are preserved draw for draw, which is what
-  keeps the tapes bit-identical.
-
-Arrivals are consumed in chunks of ``_ARRIVAL_CHUNK`` either way, so a
-long session never materialises its full arrival array as a Python list.
+The seeded book is checked out into a
+:class:`~repro.lob.array_matching.ReplaySession` once per arrival chunk,
+and agents plan plain-int ops against it — no per-arrival
+``Order``/``MatchResult``/event objects; snapshots are sliced straight
+from the session's packed level lists.  Arrivals are consumed in chunks
+of ``_ARRIVAL_CHUNK``, so a long session never materialises its full
+arrival array as a Python list.  ``tests/data/market_golden.json`` pins
+the tapes and metric registries this produces.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import envcfg
 from repro.lob.array_matching import ArrayMatchingEngine, ReplaySession
-from repro.lob.engine import make_matching_engine
-from repro.lob.events import TradeTick
-from repro.lob.matching import MatchResult
 from repro.lob.order import Order, Side
 from repro.lob.snapshot import CANONICAL_DEPTH, DepthSnapshot
-from repro.market.agents import AgentMix, FastMarketContext, MarketContext, default_mix
+from repro.market.agents import AgentMix, MarketContext, default_mix
 from repro.market.hawkes import BURSTY, HawkesParams, HawkesProcess
 from repro.market.replay import Tick, TickTape
 from repro.metrics import MetricRegistry
 from repro.units import sec_to_ns
 
 # Arrival timestamps are converted to Python ints this many at a time —
-# bounds peak memory on long sessions and, on the fast path, sets the
-# checkout/commit cadence of the replay session.
+# bounds peak memory on long sessions and sets the checkout/commit
+# cadence of the replay session.
 _ARRIVAL_CHUNK = 4096
 
 
@@ -69,6 +58,19 @@ class MarketConfig:
     seed_volume: int = 25
     snapshot_depth: int = CANONICAL_DEPTH
 
+    def __post_init__(self) -> None:
+        if self.snapshot_depth < 1:
+            raise ValueError(f"snapshot_depth must be >= 1, got {self.snapshot_depth}")
+        if self.seed_levels < 0:
+            raise ValueError(f"seed_levels must be >= 0, got {self.seed_levels}")
+        if self.seed_volume < 1:
+            raise ValueError(f"seed_volume must be >= 1, got {self.seed_volume}")
+        if self.initial_price <= self.seed_levels:
+            raise ValueError(
+                f"initial_price must exceed seed_levels ({self.seed_levels}) so "
+                f"every seeded bid is a positive price, got {self.initial_price}"
+            )
+
 
 class MarketSimulator:
     """Generates re-runnable synthetic market sessions."""
@@ -85,11 +87,11 @@ class MarketSimulator:
         self.seed = seed
         self.metrics = metrics
 
-    def _seed_book(self, ctx: MarketContext) -> None:
+    def _seed_book(self, engine: ArrayMatchingEngine) -> None:
         """Pre-populate a symmetric book so agents have liquidity to act on."""
         cfg = self.config
         for level in range(1, cfg.seed_levels + 1):
-            ctx.engine.submit(
+            engine.submit(
                 cfg.symbol,
                 Order(
                     side=Side.BID,
@@ -99,7 +101,7 @@ class MarketSimulator:
                 ),
                 0,
             )
-            ctx.engine.submit(
+            engine.submit(
                 cfg.symbol,
                 Order(
                     side=Side.ASK,
@@ -113,90 +115,34 @@ class MarketSimulator:
     def generate(self, duration_s: float, max_ticks: int | None = None) -> TickTape:
         """Run a session of ``duration_s`` seconds and return its tick tape.
 
-        Every Hawkes arrival triggers one agent action; each action's
-        market-data events become one tick (timestamp + post-event
-        snapshot).  The same (config, mix, seed, duration) always produces
-        the identical tape — regardless of ``REPRO_MARKET_FAST`` and
-        ``REPRO_LOB_ENGINE`` (both parity-gated in CI).
+        Every Hawkes arrival triggers one agent action; each action that
+        prints market-data events becomes one tick (timestamp +
+        post-event snapshot).  The same (config, mix, seed, duration)
+        always produces the identical tape.
+
+        One :class:`ReplaySession` checkout per arrival chunk; commits at
+        chunk boundaries (and before an early ``max_ticks`` return) so
+        the live book and metric registry end in step with the tape.  An
+        exception inside a chunk propagates without committing, leaving
+        the book at the last chunk boundary — agent-op atomicity.
         """
+        if not math.isfinite(duration_s) or duration_s < 0:
+            raise ValueError(f"duration_s must be finite and >= 0, got {duration_s}")
+        if max_ticks is not None and max_ticks < 1:
+            raise ValueError(f"max_ticks must be None or >= 1, got {max_ticks}")
         cfg = self.config
+        symbol = cfg.symbol
+        depth = cfg.snapshot_depth
         rng = np.random.default_rng(self.seed)
-        # REPRO_LOB_ENGINE selects the book engine; both engines produce
-        # byte-identical tapes (the lob-parity CI gate enforces it).
-        ctx = MarketContext(
-            symbol=cfg.symbol,
-            reference_price=float(cfg.initial_price),
-            engine=make_matching_engine(self.metrics),
-        )
-        self._seed_book(ctx)
+        engine = ArrayMatchingEngine(metrics=self.metrics)
+        self._seed_book(engine)
 
         process = HawkesProcess(cfg.hawkes, rng)
         arrival_times = process.sample_times_ns(sec_to_ns(duration_s))
 
-        if (
-            envcfg.get_bool("REPRO_MARKET_FAST")
-            and self.mix.supports_fast
-            and isinstance(ctx.engine, ArrayMatchingEngine)
-        ):
-            return self._generate_fast(ctx.engine, rng, arrival_times, max_ticks)
-        return self._generate_reference(ctx, rng, arrival_times, max_ticks)
-
-    def _generate_reference(
-        self,
-        ctx: MarketContext,
-        rng: np.random.Generator,
-        arrival_times: np.ndarray,
-        max_ticks: int | None,
-    ) -> TickTape:
-        """The per-op loop: every action through the engine's public API."""
-        cfg = self.config
-        ticks: list[Tick] = []
-        sequence = 0
-        for start in range(0, arrival_times.shape[0], _ARRIVAL_CHUNK):
-            for timestamp in arrival_times[start : start + _ARRIVAL_CHUNK].tolist():
-                agent = self.mix.sample(rng)
-                results = agent.act(ctx, timestamp, rng)
-                if not any(result.events for result in results):
-                    continue
-                # Random-walk drift of the reference price keeps the market
-                # alive even if one side is temporarily swept.
-                ctx.reference_price += rng.normal(0.0, 0.05)
-                last_trade = self._last_trade(results)
-                sequence += 1
-                snapshot = DepthSnapshot.capture(
-                    ctx.book,
-                    timestamp=timestamp,
-                    depth=cfg.snapshot_depth,
-                    last_trade_price=last_trade[0],
-                    last_trade_quantity=last_trade[1],
-                    sequence=sequence,
-                )
-                ticks.append(Tick(timestamp=timestamp, snapshot=snapshot))
-                if max_ticks is not None and len(ticks) >= max_ticks:
-                    return TickTape(ticks)
-        return TickTape(ticks)
-
-    def _generate_fast(
-        self,
-        engine: ArrayMatchingEngine,
-        rng: np.random.Generator,
-        arrival_times: np.ndarray,
-        max_ticks: int | None,
-    ) -> TickTape:
-        """The batch-kernel loop: agents plan int ops on a replay session.
-
-        One :class:`ReplaySession` checkout per arrival chunk; commits at
-        chunk boundaries (and before any early return) so the live book
-        and metric registry end exactly as the reference loop leaves
-        them.  An exception inside a chunk propagates without committing,
-        leaving the book at the last chunk boundary — agent-op atomicity.
-        """
-        cfg = self.config
-        symbol = cfg.symbol
-        depth = cfg.snapshot_depth
         session = ReplaySession(engine, symbol)
-        fctx = FastMarketContext(symbol, float(cfg.initial_price), session)
-        sample_fast = self.mix.sample_fast
+        ctx = MarketContext(symbol, float(cfg.initial_price), session)
+        sample = self.mix.sample
         normal = rng.normal
         ticks: list[Tick] = []
         sequence = 0
@@ -204,11 +150,13 @@ class MarketSimulator:
             if start:
                 session.refresh()
             for timestamp in arrival_times[start : start + _ARRIVAL_CHUNK].tolist():
-                agent = sample_fast(rng)
+                agent = sample(rng)
                 traded_before = session.traded_quantity
-                if not agent.act_fast(fctx, timestamp, rng):
+                if not agent.act(ctx, timestamp, rng):
                     continue
-                fctx.reference_price += normal(0.0, 0.05)
+                # Random-walk drift of the reference price keeps the market
+                # alive even if one side is temporarily swept.
+                ctx.reference_price += normal(0.0, 0.05)
                 if session.traded_quantity > traded_before:
                     last_price, last_quantity = session.trade_price, session.trade_qty
                 else:
@@ -230,15 +178,6 @@ class MarketSimulator:
                     return TickTape(ticks)
             session.commit()
         return TickTape(ticks)
-
-    @staticmethod
-    def _last_trade(results: Sequence[MatchResult]) -> tuple[int | None, int]:
-        """Extract the price/quantity of the last trade in ``results``."""
-        for result in reversed(results):
-            for event in reversed(result.events):
-                if isinstance(event, TradeTick) and event.quantity > 0:
-                    return event.price, event.quantity
-        return None, 0
 
 
 def generate_session(

@@ -15,10 +15,7 @@ behind the same two-level design as :mod:`repro.sim.workload_cache`:
 Keys cover the full :class:`~repro.market.generator.MarketConfig`
 (frozen dataclasses with deterministic reprs), the seed, the duration
 and the tick cap, so a hit is guaranteed byte-identical to what the
-generator would produce.  The cache is deliberately agnostic to
-``REPRO_MARKET_FAST`` and ``REPRO_LOB_ENGINE``: all four path/engine
-combinations are CI-gated to byte-identical tapes, so they share cache
-entries.  Only default-mix sessions are cacheable — the agent mix is
+generator would produce.  Only default-mix sessions are cacheable — the agent mix is
 not part of the key, so callers with a custom mix must use the
 generator directly.
 

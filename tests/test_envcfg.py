@@ -4,7 +4,9 @@ The registry replaced ad-hoc ``os.environ`` parsing at four call sites;
 these tests pin the exact semantics those sites relied on — parse
 directions for default-on and default-off bool switches, clamping for the numeric grids,
 error policy for junk — plus the round-trip guarantee: every declared
-variable is documented in EXPERIMENTS.md's generated table.
+variable is documented in EXPERIMENTS.md's generated table.  No shipped
+variable is a bool or a choice, so those kinds are pinned on throwaway
+registry entries.
 """
 
 from __future__ import annotations
@@ -22,6 +24,34 @@ from repro.errors import SimulationError
 def clean_env(monkeypatch):
     for var in envcfg.declared():
         monkeypatch.delenv(var.name, raising=False)
+
+
+def throwaway(monkeypatch, var: envcfg.EnvVar) -> envcfg.EnvVar:
+    """Register ``var`` for one test only, with its variable unset."""
+    monkeypatch.setitem(envcfg._REGISTRY, var.name, var)
+    monkeypatch.delenv(var.name, raising=False)
+    return var
+
+
+@pytest.fixture
+def engine_choice(monkeypatch):
+    return throwaway(
+        monkeypatch,
+        envcfg.EnvVar(
+            "REPRO_TEST_ENGINE",
+            "choice",
+            "array",
+            "test-only choice",
+            choices=("reference", "array"),
+        ),
+    )
+
+
+@pytest.fixture
+def on_switch(monkeypatch):
+    return throwaway(
+        monkeypatch, envcfg.EnvVar("REPRO_TEST_ON", "bool", True, "test-only switch")
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -46,12 +76,9 @@ def test_registry_contents_and_defaults():
         "REPRO_METRICS",
         "REPRO_METRICS_FLUSH_NS",
         "REPRO_METRICS_EXPORT",
-        "REPRO_LOB_ENGINE",
-        "REPRO_MARKET_FAST",
         "REPRO_TAPE_CACHE",
         "REPRO_LINT_CACHE",
     }
-    assert by_name["REPRO_MARKET_FAST"].default is True
     assert by_name["REPRO_TAPE_CACHE"].default is None
     assert by_name["REPRO_METRICS"].default == 1
     assert by_name["REPRO_METRICS_FLUSH_NS"].default == 0
@@ -66,7 +93,7 @@ def test_registry_contents_and_defaults():
 
 
 def test_lookup_rejects_unregistered_names():
-    assert envcfg.is_declared("REPRO_MARKET_FAST")
+    assert envcfg.is_declared("REPRO_TAPE_CACHE")
     assert not envcfg.is_declared("REPRO_NOPE")
     with pytest.raises(SimulationError):
         envcfg.lookup("REPRO_NOPE")
@@ -91,19 +118,21 @@ def test_declarations_validate_themselves():
         envcfg.EnvVar("REPRO_X", "int", 1, "doc", choices=("a", "b"))
 
 
-def test_accessors_enforce_declared_kind():
+def test_accessors_enforce_declared_kind(on_switch, engine_choice):
     with pytest.raises(SimulationError):
         envcfg.get_bool("REPRO_TRACE_LEVEL")
     with pytest.raises(SimulationError):
-        envcfg.get_int("REPRO_MARKET_FAST")
+        envcfg.get_int(on_switch.name)
     with pytest.raises(SimulationError):
         envcfg.get_float("REPRO_BENCH_JOBS")
     with pytest.raises(SimulationError):
-        envcfg.get_path("REPRO_MARKET_FAST")
+        envcfg.get_path(on_switch.name)
     with pytest.raises(SimulationError):
-        envcfg.get_choice("REPRO_MARKET_FAST")
+        envcfg.get_choice(on_switch.name)
     with pytest.raises(SimulationError):
-        envcfg.get_int("REPRO_LOB_ENGINE")
+        envcfg.get_int(engine_choice.name)
+    with pytest.raises(SimulationError):
+        envcfg.get_choice("REPRO_TAPE_CACHE")
 
 
 # ---------------------------------------------------------------------------
@@ -111,25 +140,26 @@ def test_accessors_enforce_declared_kind():
 # ---------------------------------------------------------------------------
 
 
-def test_choice_default_and_tokens(monkeypatch):
-    assert envcfg.get_choice("REPRO_LOB_ENGINE") == "array"
+def test_choice_default_and_tokens(monkeypatch, engine_choice):
+    name = engine_choice.name
+    assert envcfg.get_choice(name) == "array"
     for token in ("reference", "REFERENCE", " Reference "):
-        monkeypatch.setenv("REPRO_LOB_ENGINE", token)
-        assert envcfg.get_choice("REPRO_LOB_ENGINE") == "reference"
-    monkeypatch.setenv("REPRO_LOB_ENGINE", "array")
-    assert envcfg.get_choice("REPRO_LOB_ENGINE") == "array"
-    monkeypatch.setenv("REPRO_LOB_ENGINE", "")
-    assert envcfg.get_choice("REPRO_LOB_ENGINE") == "array"
+        monkeypatch.setenv(name, token)
+        assert envcfg.get_choice(name) == "reference"
+    monkeypatch.setenv(name, "array")
+    assert envcfg.get_choice(name) == "array"
+    monkeypatch.setenv(name, "")
+    assert envcfg.get_choice(name) == "array"
 
 
-def test_choice_unknown_token_raises(monkeypatch):
-    monkeypatch.setenv("REPRO_LOB_ENGINE", "btree")
+def test_choice_unknown_token_raises(monkeypatch, engine_choice):
+    monkeypatch.setenv(engine_choice.name, "btree")
     with pytest.raises(SimulationError, match="must be one of"):
-        envcfg.get_choice("REPRO_LOB_ENGINE")
+        envcfg.get_choice(engine_choice.name)
 
 
-def test_choice_kind_text_renders_token_set():
-    assert envcfg.LOB_ENGINE.kind_text == "reference|array"
+def test_choice_kind_text_renders_token_set(engine_choice):
+    assert engine_choice.kind_text == "reference|array"
     assert envcfg.BENCH_JOBS.kind_text == "int"
 
 
@@ -138,21 +168,22 @@ def test_choice_kind_text_renders_token_set():
 # ---------------------------------------------------------------------------
 
 
-def test_default_on_bool_turns_off_only_on_false_tokens(monkeypatch):
-    assert envcfg.get_bool("REPRO_MARKET_FAST") is True
+def test_default_on_bool_turns_off_only_on_false_tokens(monkeypatch, on_switch):
+    name = on_switch.name
+    assert envcfg.get_bool(name) is True
     for token in ("0", "false", "no", "FALSE", " No "):
-        monkeypatch.setenv("REPRO_MARKET_FAST", token)
-        assert envcfg.get_bool("REPRO_MARKET_FAST") is False
+        monkeypatch.setenv(name, token)
+        assert envcfg.get_bool(name) is False
     for token in ("1", "true", "anything-else"):
-        monkeypatch.setenv("REPRO_MARKET_FAST", token)
-        assert envcfg.get_bool("REPRO_MARKET_FAST") is True
+        monkeypatch.setenv(name, token)
+        assert envcfg.get_bool(name) is True
+    assert on_switch.default_text == "on"
 
 
 def test_default_off_bool_turns_on_only_on_true_tokens(monkeypatch):
-    # No shipped bool defaults off; declare a throwaway one.
-    var = envcfg.EnvVar("REPRO_TEST_OFF", "bool", False, "test-only switch")
-    monkeypatch.setitem(envcfg._REGISTRY, var.name, var)
-    monkeypatch.delenv(var.name, raising=False)
+    var = throwaway(
+        monkeypatch, envcfg.EnvVar("REPRO_TEST_OFF", "bool", False, "test-only switch")
+    )
     assert envcfg.get_bool(var.name) is False
     for token in ("1", "true", "yes", "TRUE", " Yes "):
         monkeypatch.setenv(var.name, token)
@@ -253,6 +284,6 @@ def test_experiments_md_documents_every_variable_inside_markers():
 
 def test_default_text_rendering():
     assert envcfg.TRACE_DIR.default_text == "unset"
-    assert envcfg.MARKET_FAST.default_text == "on"
+    assert envcfg.TAPE_CACHE.default_text == "unset"
     assert envcfg.BENCH_DURATION.default_text == "60"
     assert envcfg.TRACE_LEVEL.default_text == "2"

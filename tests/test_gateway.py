@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.lob import MatchingEngine, Order, Side
+from repro.lob import ArrayMatchingEngine, Order, Side
 from repro.market.gateway import ExchangeGateway, ExecType
 from repro.protocol import ILink3Cancel, ILink3Order, SecurityDirectory
 
 
 @pytest.fixture
 def setup():
-    engine = MatchingEngine()
+    engine = ArrayMatchingEngine()
     directory = SecurityDirectory()
     directory.register("ESU6")
     # Resting liquidity: asks 18_002(5), bids 18_000(5).

@@ -117,19 +117,13 @@ def test_warm_run_is_faster_over_lint_package(tmp_path: Path):
 
 
 def test_project_findings_identical_from_cached_facts(tmp_path: Path):
-    generator = """
-from repro.lob.order import OrderType
+    noise = """
+import numpy as np
 
-class MarketSimulator:
-    def _generate_reference(self, ctx, rng):
-        if ctx is OrderType.LIMIT:
-            pass
+_RNG = np.random.default_rng(7)
 
-    def _generate_fast(self, ctx, rng):
-        if ctx is OrderType.LIMIT:
-            pass
-        elif ctx is OrderType.MARKET:
-            pass
+def jitter():
+    return _RNG.normal()
 """
     backtest = """
 class Backtester:
@@ -142,7 +136,7 @@ class Backtester:
     files = write_tree(
         tmp_path / "tree",
         {
-            "src/repro/market/generator.py": generator,
+            "src/repro/market/noise.py": noise,
             "src/repro/sim/backtest.py": backtest,
         },
     )
@@ -153,10 +147,13 @@ class Backtester:
     cold_project = [f.to_dict() for f in project_findings_for(cold.facts)]
     warm_project = [f.to_dict() for f in project_findings_for(warm.facts)]
     assert cold_project == warm_project
-    for pair in ("market-generator-loop", "backtest-fixed-system-loop"):
-        assert any(
-            f["rule"] == "RL006" and pair in str(f["message"]) for f in warm_project
-        ), pair
+    assert any(
+        f["rule"] == "RL006" and "backtest-fixed-system-loop" in str(f["message"])
+        for f in warm_project
+    )
+    assert any(
+        f["rule"] == "RL007" and f["path"].endswith("noise.py") for f in warm_project
+    )
 
 
 def test_cli_cache_flag_and_jobs(tmp_path: Path, capsys):

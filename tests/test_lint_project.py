@@ -37,29 +37,6 @@ def findings_of(files: dict[str, str], code: str | None = None):
     return findings
 
 
-GENERATOR_BOTH_SIDES = """
-from repro.lob.order import OrderType, Side
-
-class MarketSimulator:
-    def _generate_reference(self, ctx, rng):
-        for op in ctx:
-            if op is OrderType.LIMIT:
-                pass
-            elif op is OrderType.MARKET:
-                pass
-            elif op is Side.BUY:
-                pass
-
-    def _generate_fast(self, ctx, rng):
-        for op in ctx:
-            if op is OrderType.MARKET:
-                pass
-            elif op is Side.BUY:
-                pass
-            elif op is OrderType.LIMIT:
-                pass
-"""
-
 BACKTEST_FIXED_PUMPS = """
 class Backtester:
     def _run_fixed_system(self, queue, state):
@@ -69,19 +46,16 @@ class Backtester:
         return state.rng.integers(0, 4)
 """
 
-# The branch RL006 must catch when it appears on the fast side only.
-_SELL_BRANCH = (
-    "            elif op is OrderType.LIMIT:\n                pass\n"
-    "            elif op is Side.SELL:\n                pass\n"
-)
 
-
-def _fast_side_drift(source: str) -> str:
-    """Add a Side.SELL branch after the fast side's last branch."""
-    drifted = source.replace(
-        "            elif op is OrderType.LIMIT:\n                pass\n", _SELL_BRANCH
+def _fast_side_draws(draw: str) -> str:
+    """The fixed pumps with the fast side's draw replaced by ``draw``."""
+    drifted = BACKTEST_FIXED_PUMPS.replace(
+        "    def _run_fixed_system_fast(self, state):\n"
+        "        return state.rng.integers(0, 4)",
+        "    def _run_fixed_system_fast(self, state):\n"
+        f"        return state.rng.{draw}",
     )
-    assert drifted != source
+    assert drifted != BACKTEST_FIXED_PUMPS
     return drifted
 
 
@@ -91,21 +65,7 @@ def _fast_side_drift(source: str) -> str:
 
 
 def test_rl006_mirrored_loops_are_clean():
-    assert findings_of(
-        {
-            "src/repro/market/generator.py": GENERATOR_BOTH_SIDES,
-            "src/repro/sim/backtest.py": BACKTEST_FIXED_PUMPS,
-        },
-        "RL006",
-    ) == []
-
-
-def test_rl006_branch_added_on_one_side_only():
-    drifted = _fast_side_drift(GENERATOR_BOTH_SIDES)
-    findings = findings_of({"src/repro/market/generator.py": drifted}, "RL006")
-    assert findings, "SELL branch on the fast side only must be drift"
-    assert any("market-generator-loop" in f.message for f in findings)
-    assert any("Side.SELL" in f.message for f in findings)
+    assert findings_of({"src/repro/sim/backtest.py": BACKTEST_FIXED_PUMPS}, "RL006") == []
 
 
 def test_rl006_renamed_counterpart_is_drift():
@@ -120,13 +80,7 @@ def test_rl006_renamed_counterpart_is_drift():
 
 
 def test_rl006_fixed_pumps_rng_flow_divergence():
-    drifted = BACKTEST_FIXED_PUMPS.replace(
-        "    def _run_fixed_system_fast(self, state):\n"
-        "        return state.rng.integers(0, 4)",
-        "    def _run_fixed_system_fast(self, state):\n"
-        "        return state.rng.random()",
-    )
-    assert drifted != BACKTEST_FIXED_PUMPS
+    drifted = _fast_side_draws("random()")
     findings = findings_of({"src/repro/sim/backtest.py": drifted}, "RL006")
     assert any(
         "RNG draw flows diverge" in f.message
@@ -135,16 +89,25 @@ def test_rl006_fixed_pumps_rng_flow_divergence():
     )
 
 
-def test_rl006_rng_flow_divergence():
+def test_rl006_rng_flow_divergence(monkeypatch):
+    # Draw *order* matters, not just the draw multiset; pinned on a
+    # synthetic pair selected by a switch, so the label names it.
+    pair = FunctionPair(
+        name="fixture-generator-loop",
+        switch="REPRO_FIXTURE_SWITCH",
+        reference=("repro.market.fixture", "Simulator.reference"),
+        fast=("repro.market.fixture", "Simulator.fast"),
+    )
+    monkeypatch.setattr(project_rules, "PARITY_PAIRS", (pair,))
     files = {
-        "src/repro/market/generator.py": """
-        class MarketSimulator:
-            def _generate_reference(self, ctx, rng):
+        "src/repro/market/fixture.py": """
+        class Simulator:
+            def reference(self, ctx, rng):
                 price = rng.normal(0.0, 0.05)
                 size = rng.integers(1, 9)
                 return price, size
 
-            def _generate_fast(self, ctx, rng):
+            def fast(self, ctx, rng):
                 size = rng.integers(1, 9)
                 price = rng.normal(0.0, 0.05)
                 return price, size
@@ -153,7 +116,8 @@ def test_rl006_rng_flow_divergence():
     findings = findings_of(files, "RL006")
     assert any(
         "RNG draw flows diverge" in f.message
-        and "market-generator-loop" in f.message
+        and "fixture-generator-loop" in f.message
+        and "[REPRO_FIXTURE_SWITCH]" in f.message
         for f in findings
     )
 
@@ -161,80 +125,24 @@ def test_rl006_rng_flow_divergence():
 def test_rl006_draw_equivalence_classes_are_clean():
     # uniform vs random draw the same double from the stream.
     files = {
-        "src/repro/market/generator.py": """
-        class MarketSimulator:
-            def _generate_reference(self, ctx, rng):
-                return rng.uniform()
+        "src/repro/sim/backtest.py": """
+        class Backtester:
+            def _run_fixed_system(self, queue, state):
+                return state.rng.uniform()
 
-            def _generate_fast(self, ctx, rng):
-                return rng.random()
+            def _run_fixed_system_fast(self, state):
+                return state.rng.random()
         """
     }
     assert findings_of(files, "RL006") == []
 
 
-def test_rl006_class_pair_surface_drift():
-    files = {
-        "src/repro/lob/matching.py": """
-        class MatchingEngine:
-            def submit(self, order): ...
-            def cancel(self, order_id): ...
-        """,
-        "src/repro/lob/array_matching.py": """
-        class ArrayMatchingEngine:
-            def submit(self, order): ...
-            def cancel(self, order_id): ...
-            def replay_ops(self, ops): ...
-            def bulk_cancel(self, ids): ...
-        """,
-    }
-    findings = findings_of(files, "RL006")
-    # replay_ops is an allowed asymmetry; bulk_cancel is drift.
-    assert any("bulk_cancel" in f.message for f in findings)
-    assert not any("replay_ops" in f.message for f in findings)
-
-
-def test_rl006_stats_keys_and_ctor_kwargs(monkeypatch):
-    # No shipped pair declares stats keys or constructor kwargs; pin the
-    # fingerprints with a synthetic manifest entry.
-    pair = FunctionPair(
-        name="fixture-sweep",
-        switch=None,
-        reference=("repro.core.fixture", "Sweeper.reference"),
-        fast=("repro.core.fixture", "Sweeper.fast"),
-        stats_names=("stats",),
-        ctor_kwargs=("Decision",),
-    )
-    monkeypatch.setattr(project_rules, "PARITY_PAIRS", (pair,))
-    files = {
-        "src/repro/core/fixture.py": """
-        class Decision:
-            pass
-
-        class Sweeper:
-            def reference(self, model, now, stats):
-                stats["considered"] += 1
-                stats["feasible"] += 1
-                return Decision(point=1, batch_size=2)
-
-            def fast(self, tables, now, stats):
-                stats["considered"] += 1
-                return Decision(point=1)
-        """
-    }
-    findings = findings_of(files, "RL006")
-    assert any("'stats' keys diverge" in f.message for f in findings)
-    assert any("keyword sets diverge" in f.message for f in findings)
-
-
 def test_rl006_suppression_downgrades_finding():
-    drifted = _fast_side_drift(
-        GENERATOR_BOTH_SIDES.replace(
-            "    def _generate_fast(self, ctx, rng):",
-            "    # repro-lint: disable=RL006\n    def _generate_fast(self, ctx, rng):",
-        )
+    drifted = _fast_side_draws("random()").replace(
+        "    def _run_fixed_system_fast(self, state):",
+        "    # repro-lint: disable=RL006\n    def _run_fixed_system_fast(self, state):",
     )
-    model = model_of({"src/repro/market/generator.py": drifted})
+    model = model_of({"src/repro/sim/backtest.py": drifted})
     findings = [f for f in project_rule_findings(model) if f.rule == "RL006"]
     assert findings and all(f.suppressed for f in findings)
 
@@ -242,10 +150,9 @@ def test_rl006_suppression_downgrades_finding():
 def test_rl006_cli_exit_1_names_the_pair(tmp_path: Path):
     """Acceptance: mutate one side of a parity pair on a synthetic tree;
     ``python -m repro.lint`` exits 1 naming the pair."""
-    drifted = _fast_side_drift(GENERATOR_BOTH_SIDES)
-    target = tmp_path / "src" / "repro" / "market" / "generator.py"
+    target = tmp_path / "src" / "repro" / "sim" / "backtest.py"
     target.parent.mkdir(parents=True)
-    target.write_text(textwrap.dedent(drifted))
+    target.write_text(textwrap.dedent(_fast_side_draws("random()")))
 
     repo_root = Path(__file__).resolve().parent.parent
     result = subprocess.run(
@@ -260,8 +167,8 @@ def test_rl006_cli_exit_1_names_the_pair(tmp_path: Path):
     )
     assert result.returncode == 1, result.stdout + result.stderr
     assert "RL006" in result.stdout
-    assert "market-generator-loop" in result.stdout
-    assert "REPRO_MARKET_FAST" in result.stdout
+    assert "backtest-fixed-system-loop" in result.stdout
+    assert "RNG draw flows diverge" in result.stdout
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +354,15 @@ def test_rl008_import_time_envcfg_read():
         "src/repro/bench/fixture.py": """
         from repro import envcfg
 
-        FAST = envcfg.get_bool("REPRO_MARKET_FAST")
+        TAPES = envcfg.get_path("REPRO_TAPE_CACHE")
 
         def use():
-            return FAST
+            return TAPES
         """
     }
     findings = findings_of(files, "RL008")
     assert any(
-        "REPRO_MARKET_FAST" in f.message and "import time" in f.message
+        "REPRO_TAPE_CACHE" in f.message and "import time" in f.message
         for f in findings
     )
 

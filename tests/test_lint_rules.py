@@ -184,12 +184,12 @@ def test_rl003_flags_direct_read_of_registered_variable():
         """
         import os
 
-        fast = os.environ.get("REPRO_MARKET_FAST")
+        tapes = os.environ.get("REPRO_TAPE_CACHE")
         """,
         codes=["RL003"],
     )
     assert codes_of(findings) == ["RL003"]
-    assert "REPRO_MARKET_FAST" in findings[0].message
+    assert "REPRO_TAPE_CACHE" in findings[0].message
     assert "repro.envcfg" in findings[0].message
 
 
@@ -237,8 +237,8 @@ def test_rl003_subscript_read_flagged_but_write_allowed():
     source = """
     import os
 
-    os.environ["REPRO_MARKET_FAST"] = "0"
-    value = os.environ["REPRO_MARKET_FAST"]
+    os.environ["REPRO_TAPE_CACHE"] = "/tmp/tapes"
+    value = os.environ["REPRO_TAPE_CACHE"]
     """
     findings = run(source, codes=["RL003"])
     assert codes_of(findings) == ["RL003"]  # only the Load, not the Store
@@ -263,7 +263,7 @@ def test_rl003_file_suppression():
         # repro-lint: file-disable=RL003
         import os
 
-        a = os.environ.get("REPRO_MARKET_FAST")
+        a = os.environ.get("REPRO_TAPE_CACHE")
         b = os.getenv("REPRO_TRACE_DIR")
         """,
         codes=["RL003"],

@@ -1,34 +1,25 @@
-"""Differential property tests: array engine vs the golden reference.
+"""Differential tests: the shipped array engine vs the test oracle.
 
 The struct-of-arrays engine (``repro.lob.array_book`` /
-``repro.lob.array_matching``) is only allowed to exist because it is
-bit-exact against the object-per-order reference: same fills (prices,
+``repro.lob.array_matching``) must stay bit-exact against the
+object-per-order oracle in ``tests/lob_oracle.py``: same fills (prices,
 quantities, maker ids and owners), same :class:`MarketEvent` stream with
 the same sequence numbers, same books afterwards.  These tests drive
 seeded randomized op streams (submit/cancel/replace across order types
-and TIFs) through both engines per-op, through ``replay_ops`` as one
-batch, and through the market generator end-to-end (byte-identical
-tapes) — the same checks the lob-parity CI gate runs.
+and TIFs) through both engines per-op and through ``replay_ops`` as one
+batch.  The market generator's end-to-end tapes are pinned separately by
+``tests/test_market_golden.py``.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import numpy as np
 import pytest
 
 from repro.errors import MatchingError, OrderBookError
-from repro.lob import (
-    ArrayMatchingEngine,
-    MatchingEngine,
-    Order,
-    OrderType,
-    Side,
-    TimeInForce,
-)
+from repro.lob import ArrayMatchingEngine, Order, OrderType, Side, TimeInForce
 from repro.lob.array_matching import OP_CANCEL, OP_REPLACE, OP_SUBMIT, OpBatch
-from repro.market.generator import generate_session
+from tests.lob_oracle import MatchingEngine
 
 SYMBOL = "ES"
 
@@ -103,7 +94,7 @@ def apply_op(engine, row, timestamp=0):
 
 
 def valid_rows(rows):
-    """Filter ``rows`` to the ops the reference engine accepts as legal.
+    """Filter ``rows`` to the ops the oracle engine accepts as legal.
 
     Cancels/replaces of orders that already traded away raise — drop
     those rows so every remaining op is applied by both engines.
@@ -199,17 +190,3 @@ def test_failed_batch_leaves_book_untouched():
     assert engine.book(SYMBOL).asks.top(5) == []  # ask from op 1 rolled back
     assert 2 not in engine.book(SYMBOL)
 
-
-def _tape_digest(tmp_path, monkeypatch, engine_name):
-    monkeypatch.setenv("REPRO_LOB_ENGINE", engine_name)
-    tape = generate_session(duration_s=1.5, seed=3)
-    path = tmp_path / f"tape_{engine_name}.npz"
-    tape.save(path)
-    return len(tape), hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def test_generator_tape_byte_identical_across_engines(tmp_path, monkeypatch):
-    n_ref, ref_digest = _tape_digest(tmp_path, monkeypatch, "reference")
-    n_arr, arr_digest = _tape_digest(tmp_path, monkeypatch, "array")
-    assert n_ref == n_arr > 0
-    assert ref_digest == arr_digest

@@ -1,9 +1,9 @@
 """Unit tests for the matching engine semantics.
 
-Every test runs against both book engines — the object-per-order
-reference and the struct-of-arrays implementation — so the semantics
-pinned here are pinned for the pair (the bit-exactness contract of
-``REPRO_LOB_ENGINE``).
+Every test runs against the shipped struct-of-arrays engine and the
+object-per-order test oracle (``tests/lob_oracle.py``, parameter id
+``reference``), so the semantics pinned here hold for both — the
+oracle's half is what makes the differential suite meaningful.
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro.errors import MatchingError
 from repro.lob import (
     ArrayMatchingEngine,
-    MatchingEngine,
     Order,
     OrderType,
     Side,
@@ -20,6 +19,7 @@ from repro.lob import (
     UpdateAction,
     BookUpdate,
 )
+from tests.lob_oracle import MatchingEngine
 
 
 @pytest.fixture(params=["reference", "array"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.lob import Order, Side
+from repro.lob import ArrayMatchingEngine, Order, ReplaySession, Side
 from repro.market.agents import (
     AgentMix,
     LiquidityTaker,
@@ -14,13 +14,23 @@ from repro.market.agents import (
 )
 
 
+def make_ctx(reference_price=18_000.0, seed_book=True):
+    """A session-backed context over a fresh engine; two-sided if seeded."""
+    engine = ArrayMatchingEngine()
+    if seed_book:
+        engine.submit("ES", Order(side=Side.BID, price=17_998, quantity=10), 0)
+        engine.submit("ES", Order(side=Side.ASK, price=18_002, quantity=10), 0)
+    return MarketContext("ES", reference_price, ReplaySession(engine, "ES"))
+
+
+def book_levels(ctx, depth=64):
+    """(price, volume) per live level on both sides of the session."""
+    return list(ctx.session.top_bids(depth)) + list(ctx.session.top_asks(depth))
+
+
 @pytest.fixture
 def ctx():
-    context = MarketContext(symbol="ES", reference_price=18_000.0)
-    # Two-sided seed.
-    context.engine.submit("ES", Order(side=Side.BID, price=17_998, quantity=10), 0)
-    context.engine.submit("ES", Order(side=Side.ASK, price=18_002, quantity=10), 0)
-    return context
+    return make_ctx()
 
 
 @pytest.fixture
@@ -32,8 +42,9 @@ class TestMarketMaker:
     def test_places_quotes(self, ctx, rng):
         maker = MarketMaker("mm")
         for t in range(20):
-            maker.act(ctx, t, rng)
-        book = ctx.book
+            assert maker.act(ctx, t, rng)  # a DAY limit always prints
+        ctx.session.commit()
+        book = ctx.session.engine.book("ES")
         assert len(book) > 2  # seeded 2 plus maker quotes
 
     def test_recycles_stale_quotes(self, ctx, rng):
@@ -46,23 +57,21 @@ class TestMarketMaker:
         maker = MarketMaker("mm", max_depth=3)
         for t in range(30):
             maker.act(ctx, t, rng)
-        for side in (ctx.book.bids, ctx.book.asks):
-            for level in side.iter_best_first():
-                assert abs(level.price - 18_000) <= 12
+        for price, __ in book_levels(ctx):
+            assert abs(price - 18_000) <= 12
 
 
 class TestLiquidityTaker:
     def test_crosses_the_spread(self, ctx, rng):
         taker = LiquidityTaker("taker")
-        fills = []
-        for t in range(30):
-            for result in taker.act(ctx, t, rng):
-                fills.extend(result.fills)
-        assert fills  # some IOC orders executed
+        traded_before = ctx.session.traded_quantity
+        acted = [taker.act(ctx, t, rng) for t in range(30)]
+        assert any(acted)  # some IOC orders executed
+        assert ctx.session.traded_quantity > traded_before
 
     def test_noop_on_empty_book(self, rng):
-        context = MarketContext(symbol="ES", reference_price=100.0)
-        assert LiquidityTaker("t").act(context, 0, rng) == []
+        context = make_ctx(reference_price=100.0, seed_book=False)
+        assert LiquidityTaker("t").act(context, 0, rng) is False
 
     def test_sets_direction(self, ctx, rng):
         taker = LiquidityTaker("taker")
@@ -73,13 +82,15 @@ class TestLiquidityTaker:
 
 class TestMomentumTrader:
     def test_idle_without_direction(self, ctx, rng):
-        assert MomentumTrader("momo").act(ctx, 0, rng) == []
+        assert MomentumTrader("momo").act(ctx, 0, rng) is False
 
     def test_chases_direction(self, ctx, rng):
         ctx.last_direction = 1
-        results = MomentumTrader("momo").act(ctx, 0, rng)
-        assert results
-        assert results[0].order.side is Side.BID
+        best_ask = ctx.session.best_ask()
+        assert MomentumTrader("momo").act(ctx, 0, rng)
+        # A buy: it lifted the ask side, at the best ask.
+        assert ctx.session.op_filled > 0
+        assert ctx.session.trade_price == best_ask
 
 
 class TestAgentMix:

@@ -1,13 +1,12 @@
-"""The market-generation fast path: byte-identical, atomic, cached.
+"""The market generator's RNG stream, atomicity and tape cache.
 
-The contract under test (ISSUE 9): ``REPRO_MARKET_FAST`` selects a
-batch-kernel generation loop (agents plan plain-int ops on a
-:class:`~repro.lob.array_matching.ReplaySession`) that must produce
-**byte-identical** tick tapes to the retained reference loop, under
-either book engine, for any seed — plus the RNG-stream equivalences that
-identity rests on, crash atomicity at chunk granularity, metric-registry
-parity, and the two-level tick-tape cache (memory + npz) that campaign
-probes reuse.
+The generator's agents plan plain-int ops on a
+:class:`~repro.lob.array_matching.ReplaySession`; its tapes and metric
+registries are pinned byte for byte by ``tests/test_market_golden.py``.
+This module covers what the digests rest on and what they cannot see:
+the RNG-stream equivalences behind the agents' draw order, crash
+atomicity at chunk granularity, input validation, and the two-level
+tick-tape cache (memory + npz) that campaign probes reuse.
 """
 
 from __future__ import annotations
@@ -27,11 +26,6 @@ from repro.market.tape_cache import (
     clear_tape_cache,
     tape_cache_key,
 )
-from repro.metrics import MetricRegistry
-
-PARITY_SEEDS = (3, 11, 27)
-DURATION_S = 0.8
-
 
 @pytest.fixture(autouse=True)
 def fresh_tape_cache():
@@ -47,60 +41,18 @@ def tape_sha256(tmp_path, tape, label: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# tape byte-identity across {fast, reference} x {array, reference engine}
+# the RNG-stream equivalences the agents' draw order rests on
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", PARITY_SEEDS)
-def test_tape_sha256_parity_matrix(tmp_path, monkeypatch, seed):
-    digests = set()
-    for fast in ("0", "1"):
-        for engine in ("array", "reference"):
-            monkeypatch.setenv("REPRO_MARKET_FAST", fast)
-            monkeypatch.setenv("REPRO_LOB_ENGINE", engine)
-            tape = generate_session(duration_s=DURATION_S, seed=seed)
-            assert len(tape) > 0
-            digests.add(tape_sha256(tmp_path, tape, f"{seed}-{fast}-{engine}"))
-    assert len(digests) == 1, "tape bytes must not depend on path or engine"
-
-
-def test_max_ticks_early_return_parity(tmp_path, monkeypatch):
-    digests = set()
-    for fast in ("0", "1"):
-        monkeypatch.setenv("REPRO_MARKET_FAST", fast)
-        tape = MarketSimulator(MarketConfig(), seed=3).generate(
-            DURATION_S, max_ticks=25
-        )
-        assert len(tape) == 25
-        digests.add(tape_sha256(tmp_path, tape, f"cap-{fast}"))
-    assert len(digests) == 1
-
-
-def test_chunked_iteration_matches_unchunked(tmp_path, monkeypatch):
-    """A tiny arrival chunk must not perturb either path's tape bytes."""
-    baseline = {}
-    for fast in ("0", "1"):
-        monkeypatch.setenv("REPRO_MARKET_FAST", fast)
-        tape = generate_session(duration_s=DURATION_S, seed=11)
-        baseline[fast] = tape_sha256(tmp_path, tape, f"chunk-default-{fast}")
-    monkeypatch.setattr("repro.market.generator._ARRIVAL_CHUNK", 7)
-    for fast in ("0", "1"):
-        monkeypatch.setenv("REPRO_MARKET_FAST", fast)
-        tape = generate_session(duration_s=DURATION_S, seed=11)
-        assert tape_sha256(tmp_path, tape, f"chunk-7-{fast}") == baseline[fast]
-
-
-# ---------------------------------------------------------------------------
-# the RNG-stream equivalences the fast path's draw order rests on
-# ---------------------------------------------------------------------------
-
-
-def test_sample_fast_matches_sample_and_stream_state():
+def test_sample_matches_choice_and_stream_state():
     """CDF-bisect agent sampling consumes exactly rng.choice's one draw."""
     mix = default_mix()
+    probs = np.asarray(mix.weights, dtype=float)
+    probs /= probs.sum()
     a, b = np.random.default_rng(17), np.random.default_rng(17)
     for _ in range(5_000):
-        assert mix.sample(a) is mix.sample_fast(b)
+        assert mix.agents[int(a.choice(len(mix.agents), p=probs))] is mix.sample(b)
     # Identical downstream draws prove identical generator state.
     assert a.integers(0, 1 << 62) == b.integers(0, 1 << 62)
 
@@ -133,21 +85,15 @@ def test_mix_cdf_inverts_choice_probabilities():
 class _BombAgent(Agent):
     """Plans an op the kernel must reject (cancel of an unknown id)."""
 
-    fast_capable = True
-
     def act(self, ctx, timestamp, rng):
-        return []
-
-    def act_fast(self, fctx, timestamp, rng):
-        fctx.session.cancel(999_999_999)
+        ctx.session.cancel(999_999_999)
         return True
 
 
 def test_rejected_agent_op_is_atomic(monkeypatch):
-    monkeypatch.setenv("REPRO_MARKET_FAST", "1")
     engine = ArrayMatchingEngine()
     monkeypatch.setattr(
-        "repro.market.generator.make_matching_engine", lambda metrics=None: engine
+        "repro.market.generator.ArrayMatchingEngine", lambda metrics=None: engine
     )
     config = MarketConfig()
     sim = MarketSimulator(
@@ -171,19 +117,38 @@ def test_rejected_agent_op_is_atomic(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# metric-registry parity between the two generation paths
+# malformed inputs fail loudly with one-line errors
 # ---------------------------------------------------------------------------
 
 
-def test_metric_registry_parity(monkeypatch):
-    snapshots = []
-    for fast in ("0", "1"):
-        monkeypatch.setenv("REPRO_MARKET_FAST", fast)
-        registry = MetricRegistry()
-        MarketSimulator(MarketConfig(), seed=5, metrics=registry).generate(1.0)
-        snapshots.append(registry.public_snapshot())
-    assert snapshots[0] == snapshots[1]
-    assert snapshots[0]["counters"]["lob.orders"] > 0
+@pytest.mark.parametrize(
+    "config_kwargs, generate_args, message",
+    [
+        ({}, (0.5, 0), "max_ticks must be None or >= 1"),
+        ({}, (0.5, -3), "max_ticks must be None or >= 1"),
+        ({}, (-1.0, None), "duration_s must be finite and >= 0"),
+        ({}, (float("nan"), None), "duration_s must be finite and >= 0"),
+        ({}, (float("inf"), None), "duration_s must be finite and >= 0"),
+        ({"snapshot_depth": 0}, None, "snapshot_depth must be >= 1"),
+        ({"seed_levels": -2}, None, "seed_levels must be >= 0"),
+        ({"seed_volume": 0}, None, "seed_volume must be >= 1"),
+        ({"initial_price": 5}, None, "initial_price must exceed seed_levels"),
+    ],
+)
+def test_malformed_inputs_raise_value_error(config_kwargs, generate_args, message):
+    with pytest.raises(ValueError, match=message) as excinfo:
+        sim = MarketSimulator(MarketConfig(**config_kwargs), seed=3)
+        sim.generate(*generate_args)
+    assert "\n" not in str(excinfo.value)
+
+
+def test_validation_keeps_valid_configs_and_cache_keys():
+    # Validation adds no field: the repr of a valid config, and so every
+    # tape cache key, is what it was before validation existed.
+    assert tape_cache_key(MarketConfig(), 7, 0.6, None) == "a415853f25850bb3bd267622"
+    edge = MarketConfig(seed_levels=0, initial_price=1, seed_volume=1, snapshot_depth=1)
+    assert len(MarketSimulator(edge, seed=3).generate(0.2, max_ticks=1)) <= 1
+    assert len(MarketSimulator(MarketConfig(), seed=3).generate(0.0)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """The parity-pair manifest stays complete and truthful.
 
-Completeness: every ``REPRO_*`` switch that selects between
-implementations (discovered from the envcfg registry itself) appears in
-the manifest.  Truthfulness: every pair member the manifest names
-actually exists in the tree — a rename that orphans a manifest entry
-fails here even before RL006 reports the drift.
+Completeness: no ``REPRO_*`` variable selects between implementations
+(discovered from the envcfg registry itself), and any that did would
+have to appear in the manifest.  Truthfulness: every pair member the
+manifest names actually exists in the tree — a rename that orphans a
+manifest entry fails here even before RL006 reports the drift.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from repro.lint import build_context
 from repro.lint.facts import extract_facts
 from repro.lint.parity_manifest import (
     PARITY_PAIRS,
-    ClassPair,
-    FunctionPair,
     manifest_switches,
     selector_switches,
 )
@@ -51,38 +49,22 @@ def test_manifest_switches_are_declared_env_vars():
 
 
 def test_known_selectors_are_discovered():
-    # The two dispatch switches the repo ships today; a new selector
-    # must extend this list *and* the manifest.
-    assert selector_switches() == {"REPRO_MARKET_FAST", "REPRO_LOB_ENGINE"}
+    # One implementation per behaviour: no environment variable picks
+    # between two.  A new selector must extend this set *and* the
+    # manifest.
+    assert selector_switches() == set()
 
 
 def test_every_pair_member_exists_in_tree():
     model = real_model()
     for pair in PARITY_PAIRS:
-        if isinstance(pair, FunctionPair):
-            for module, qualname in (pair.reference, pair.fast):
-                assert model.function(module, qualname) is not None, (
-                    f"{pair.name}: {module}::{qualname} not found"
-                )
-        else:
-            assert isinstance(pair, ClassPair)
-            for module, cls in (pair.reference, pair.fast):
-                assert model.class_methods(module, cls) is not None, (
-                    f"{pair.name}: {module}::{cls} not found"
-                )
+        for module, qualname in (pair.reference, pair.fast):
+            assert model.function(module, qualname) is not None, (
+                f"{pair.name}: {module}::{qualname} not found"
+            )
 
 
 def test_pair_names_are_unique():
     names = [pair.name for pair in PARITY_PAIRS]
     assert len(names) == len(set(names))
 
-
-def test_allowances_are_referenced_tokens():
-    # Every token allowance must use the Family.TOKEN spelling RL006
-    # compares with; a typo here would silently allow everything.
-    for pair in PARITY_PAIRS:
-        if not isinstance(pair, FunctionPair):
-            continue
-        for token in pair.fast_only_tokens | pair.reference_only_tokens:
-            family, _, name = token.partition(".")
-            assert family and name, f"{pair.name}: malformed allowance {token!r}"

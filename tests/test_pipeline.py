@@ -332,12 +332,12 @@ class TestFeedHandlerIntegration:
 
     def test_end_to_end_market_to_features(self):
         """Exchange events -> SBE -> UDP -> parser -> mirror -> tensor."""
-        from repro.lob import MatchingEngine, Order
+        from repro.lob import ArrayMatchingEngine, Order
 
         directory = SecurityDirectory()
         directory.register("ESU6")
         handler = FeedHandler(PacketParser(directory))
-        exchange = MatchingEngine()
+        exchange = ArrayMatchingEngine()
         offload = OffloadEngine(window=2, store_tensors=True)
 
         query = None

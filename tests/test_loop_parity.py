@@ -14,6 +14,9 @@ with full telemetry and compares the run against
 The matrix covers the four scheduling schemes on calm and bursty
 traffic, the GPU and FPGA profiles, queue-overflow pressure, seeded
 fault plans (LightTrader and a fixed profile) and trace levels 0 and 1.
+Wide clusters (N=8 and N=16, ``ds`` and ``ws+ds`` under both power
+conditions) and a thermal-throttle-only plan at N=4 pin the cluster
+power and Algorithm-2 bookkeeping where many devices are busy at once.
 
 Regression anchor: a saturated single accelerator under DVFS scheduling,
 where Algorithm-2 redistribution must run at every arrival — the
@@ -108,6 +111,19 @@ def _lighttrader_fault_plan(workload: QueryWorkload) -> FaultPlan:
     )
 
 
+def _throttle_fault_plan(workload: QueryWorkload) -> FaultPlan:
+    # Overlapping throttle windows (8 throttles, 7 releases) on busy
+    # devices: exercises idle repoints and in-flight rescales to a cap.
+    return seeded_plan(
+        duration_s=1.5,
+        n_accelerators=4,
+        n_ticks=len(workload),
+        seed=6,
+        throttle_rate_hz=4.0,
+        throttle_duration_s=0.15,
+    )
+
+
 def _fixed_fault_plan(workload: QueryWorkload) -> FaultPlan:
     return seeded_plan(
         2.0,
@@ -131,7 +147,7 @@ class Case:
     preset: str
     profile: str
     config: SimConfig
-    faults: str | None = None  # 'lighttrader' | 'fixed' plan builder
+    faults: str | None = None  # 'lighttrader' | 'throttle' | 'fixed' plan builder
     level: int = 2
 
     def inputs(self) -> tuple[QueryWorkload, FaultPlan | None]:
@@ -139,6 +155,8 @@ class Case:
         plan = None
         if self.faults == "lighttrader":
             plan = _lighttrader_fault_plan(workload)
+        elif self.faults == "throttle":
+            plan = _throttle_fault_plan(workload)
         elif self.faults == "fixed":
             plan = _fixed_fault_plan(workload)
         return workload, plan
@@ -170,6 +188,21 @@ def _cases() -> dict[str, Case]:
             dvfs_scheduling=True,
         ),
     )
+    for n in (8, 16):
+        for scheme in ("ds", "ws+ds"):
+            ws, ds = _SCHEME_FLAGS[scheme]
+            for condition in ("sufficient", "limited"):
+                cases[f"lighttrader/{scheme}/n{n}/{condition}"] = Case(
+                    "burst",
+                    "lighttrader",
+                    SimConfig(
+                        model="deeplob",
+                        workload_scheduling=ws,
+                        dvfs_scheduling=ds,
+                        n_accelerators=n,
+                        power_condition=condition,
+                    ),
+                )
     cases["lighttrader/overflow"] = Case(
         "overflow",
         "lighttrader",
@@ -183,6 +216,18 @@ def _cases() -> dict[str, Case]:
             SimConfig(workload_scheduling=ws, dvfs_scheduling=ds, n_accelerators=2),
             faults="lighttrader",
         )
+    cases["lighttrader/ws+ds/throttle-n4"] = Case(
+        "burst",
+        "lighttrader",
+        SimConfig(
+            model="deeplob",
+            workload_scheduling=True,
+            dvfs_scheduling=True,
+            n_accelerators=4,
+            power_condition="limited",
+        ),
+        faults="throttle",
+    )
     cases["gpu/faults"] = Case(
         "fixed_faults",
         "gpu",
@@ -294,6 +339,13 @@ class TestSchemePresetMatrix:
         _assert_golden(f"gpu/{preset}")
         _assert_golden(f"fpga/{preset}")
 
+    @pytest.mark.parametrize("condition", ["sufficient", "limited"])
+    @pytest.mark.parametrize("scheme", ["ds", "ws+ds"])
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_wide_clusters(self, n, scheme, condition):
+        golden = _assert_golden(f"lighttrader/{scheme}/n{n}/{condition}")
+        assert golden["result"]["n_queries"] > 0
+
     def test_single_device_redistribute_drain(self):
         # Regression: one saturated accelerator under ws+ds.  Algorithm 2
         # boosts the in-flight batch one step per event, so boosting
@@ -312,6 +364,13 @@ class TestPressureAndFaults:
     @pytest.mark.parametrize("scheme", sorted(_SCHEME_FLAGS))
     def test_seeded_fault_plan(self, scheme):
         _assert_golden(f"lighttrader/{scheme}/faults")
+
+    def test_thermal_throttle_plan(self):
+        # Throttles land on busy and idle devices of a 4-card ws+ds
+        # cluster: in-flight rescales to the cap, idle repoints, and
+        # releases that let Algorithm 2 boost past the old cap again.
+        golden = _assert_golden("lighttrader/ws+ds/throttle-n4")
+        assert golden["result"]["n_queries"] > 0
 
     def test_fixed_profile_under_faults(self):
         # The fixed-profile pump with queues, failures, corruption,

@@ -97,14 +97,20 @@ class DVFSTable:
                 return point
         raise AcceleratorError(f"no {freq_ghz:.1f} GHz point in DVFS table")
 
+    def _index(self, point: OperatingPoint) -> int:
+        try:
+            return self.points.index(point)
+        except ValueError:
+            raise AcceleratorError(f"{point!r} is not in the DVFS table") from None
+
     def next_up(self, point: OperatingPoint) -> OperatingPoint | None:
         """The next faster point, or None at the top."""
-        idx = self.points.index(point)
+        idx = self._index(point)
         return self.points[idx + 1] if idx + 1 < len(self.points) else None
 
     def next_down(self, point: OperatingPoint) -> OperatingPoint | None:
         """The next slower point, or None at the bottom."""
-        idx = self.points.index(point)
+        idx = self._index(point)
         return self.points[idx - 1] if idx > 0 else None
 
 

@@ -56,6 +56,15 @@ class TestAccelerator:
         with pytest.raises(AcceleratorError):
             device.issue(500, 1000, 1, 1.5)
 
+    def test_issue_over_unfinished_batch_rejected(self, device):
+        # At completion_time the device reads idle, but until finish()
+        # the batch is still in flight: issuing would overwrite it.
+        device.issue(0, 1000, 1, 1.5)
+        with pytest.raises(AcceleratorError, match="unfinished batch"):
+            device.issue(1000, 1000, 1, 1.5)
+        device.finish(1000)
+        assert device.issue(1000, 1000, 1, 1.5).issue_time == 1000
+
     def test_dvfs_switch_delay(self, device, table):
         ready = device.set_point(table.at_ghz(1.0), now=0)
         assert ready == DVFS_SWITCH_NS

@@ -67,6 +67,18 @@ class TestDVFSTable:
         assert table.next_up(table.max_point) is None
         assert table.next_down(table.min_point) is None
 
+    def test_next_up_down_off_table_rejected(self):
+        capped = DVFSTable(cap_hz=paperdata.TABLE3_CONSERVATIVE_CAP_HZ)
+        above_cap = DVFSTable().max_point  # 2.2 GHz: not in the capped table
+        between = OperatingPoint(freq_hz=1.55 * GHZ, voltage=0.9)
+        for point in (above_cap, between):
+            for step in (capped.next_up, capped.next_down):
+                with pytest.raises(AcceleratorError) as excinfo:
+                    step(point)
+                message = str(excinfo.value)
+                assert "\n" not in message
+                assert repr(point) in message
+
     def test_missing_point_rejected(self):
         with pytest.raises(AcceleratorError):
             DVFSTable().at_ghz(1.55)

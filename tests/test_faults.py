@@ -21,6 +21,7 @@ from repro.faults import (
     FaultPlan,
     seeded_plan,
 )
+from repro.metrics import MetricRegistry
 from repro.sim.backtest import Backtester, SimConfig
 from repro.sim.workload import Regime, TrafficSpec, synthetic_workload
 from repro.telemetry import Telemetry
@@ -382,3 +383,67 @@ class TestGracefulDegradation:
         first = Backtester(workload, profile, config, faults=plan).run()
         second = Backtester(workload, profile, config, faults=plan).run()
         assert dataclasses.asdict(first) == dataclasses.asdict(second)
+
+
+def _scored_rows(workload, profile, config, plan) -> tuple[int, int]:
+    """(n_queries + unscored, rows - feed-dropped) for one fault run."""
+    registry = MetricRegistry()
+    backtester = Backtester(workload, profile, config, faults=plan, metrics=registry)
+    result = backtester.run()
+    feed_dropped = registry.public_snapshot()["counters"].get("faults.feed_dropped", 0)
+    scored = result.n_queries + backtester.last_metrics.unscored
+    return scored, len(workload) - feed_dropped
+
+
+class TestQueryConservation:
+    """Every admitted row is scored exactly once, whatever the faults do."""
+
+    def test_same_instant_completions_keep_both_batches(self):
+        # Regression: two devices completing at the same nanosecond.  The
+        # first COMPLETION's scheduling pass saw the second device as idle
+        # (busy_until <= now) and issued over its unfinished batch, so
+        # query 212 (issued to accel 1 at 1,174,642,269 ns) was never
+        # scored: n_queries came out 861 for 862 rows.
+        workload = synthetic_workload(duration_s=2.0, seed=11)
+        plan = seeded_plan(
+            duration_s=2.0,
+            n_accelerators=2,
+            n_ticks=len(workload),
+            seed=2,
+            device_failure_rate_hz=3.0,
+            failure_downtime_s=0.05,
+        )
+        assert len(workload) == 862
+        scored, rows = _scored_rows(
+            workload, lighttrader_profile(), SimConfig(n_accelerators=2), plan
+        )
+        assert scored == rows == 862
+
+    @pytest.mark.parametrize("scheme", ["baseline", "ws", "ds", "ws+ds"])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_seeded_fault_plans_conserve_rows(self, seed, scheme):
+        workload = synthetic_workload(duration_s=1.0, seed=seed)
+        plan = seeded_plan(
+            1.0,
+            4,
+            n_ticks=len(workload),
+            seed=seed,
+            device_failure_rate_hz=3.0,
+            failure_downtime_s=0.05,
+            corruption_rate_hz=2.0,
+            throttle_rate_hz=2.0,
+            throttle_duration_s=0.2,
+            stall_rate_hz=2.0,
+            packet_loss_prob=0.02,
+            duplicate_prob=0.01,
+            reorder_prob=0.01,
+        )
+        config = SimConfig(
+            model="deeplob",
+            n_accelerators=4,
+            workload_scheduling=scheme.startswith("ws"),
+            dvfs_scheduling=scheme.endswith("ds"),
+            power_condition="limited",
+        )
+        scored, rows = _scored_rows(workload, lighttrader_profile(), config, plan)
+        assert scored == rows

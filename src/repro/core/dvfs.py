@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING
 from repro.accelerator.device import DVFS_SWITCH_NS, Accelerator, AcceleratorCluster
 from repro.accelerator.power import DVFSTable, OperatingPoint
 from repro.baselines.profiles import LightTraderProfile
-from repro.core.ppw import ppw_increase
+from repro.core.ppw import ppw
+from repro.hotpath import hot_path
 
 if TYPE_CHECKING:
     from repro.telemetry.decisions import DecisionLog
@@ -31,6 +32,13 @@ if TYPE_CHECKING:
 # Fraction of a batch's remaining deadline slack the power-save step may
 # consume by slowing the clock; the rest stays as safety margin.
 SAVE_SLACK_FRACTION = 0.6
+
+# Candidate-scan frequency limit of a device with no thermal cap.
+_UNCAPPED = float("inf")
+
+# One Algorithm-2 candidate table: (point, freq_hz, power_w) per faster
+# table point, slowest first.
+_Candidates = tuple[tuple[OperatingPoint, float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -49,14 +57,10 @@ class DVFSScheduler:
     _boost_floor_ns: dict[float, float] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
-    # Faster table points per operating frequency, so the candidate scan
-    # starts where the table stops being slower than the device.
-    _faster: "dict[float, tuple[OperatingPoint, ...]]" = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    # Exact power_w memo keyed (freq_hz, activity, batch): power_w is a
-    # pure function, so cached floats are bit-identical to recomputation.
-    _power_cache: dict[tuple[float, float, int], float] = field(
+    # Algorithm-2 candidate tables keyed (device freq_hz, activity, batch).
+    # power_w is a pure function, so the cached floats are bit-identical
+    # to recomputation.
+    _candidates: dict[tuple[float, float, int], _Candidates] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
     # Observability: lifetime counts folded into the run's MetricRegistry.
@@ -77,7 +81,6 @@ class DVFSScheduler:
     def __post_init__(self) -> None:
         fmax = max(point.freq_hz for point in self.table)
         floors = {}
-        faster = {}
         for point in self.table:
             f = point.freq_hz
             if f >= fmax:
@@ -87,9 +90,7 @@ class DVFSScheduler:
                 # remaining ≤ (switch − 0.5)/(1 − f/fmax); the extra −0.5
                 # absorbs float rounding in the comparison itself.
                 floors[f] = (DVFS_SWITCH_NS - 1.0) / (1.0 - f / fmax)
-            faster[f] = tuple(p for p in self.table if p.freq_hz > f)
         object.__setattr__(self, "_boost_floor_ns", floors)
-        object.__setattr__(self, "_faster", faster)
 
     # -- phase 1: save power --------------------------------------------------
 
@@ -178,29 +179,24 @@ class DVFSScheduler:
         adjusted: set[int] = set()
         floors = self._boost_floor_ns
         while True:
-            # Filter on the O(1) boost floor before paying for a headroom
-            # sum or a table scan: a device whose remaining time is under
-            # the floor cannot yield a candidate, so skipping it never
-            # changes the chosen transition.
-            scan = [
-                device
-                for device in cluster.devices
-                if device.healthy
-                and device.busy_until > now  # busy_devices(), inlined
-                and device.accel_id not in adjusted  # one transition per event
-                and device.busy_until - now > floors.get(device.point.freq_hz, 0.0)
-            ]
-            if not scan:
-                self.stats["boost_transitions"] += transitions
-                if transitions and self.log is not None:
-                    self.log.record_redistribute(
-                        now, transitions, cluster.headroom(now)
-                    )
-                return transitions
-            headroom = cluster.headroom(now) - reserve_w
+            headroom = None
             best_gain = -float("inf")
             best: tuple[Accelerator, OperatingPoint, int, float] | None = None
-            for device in scan:
+            for device in cluster.devices:
+                # Filter on the O(1) boost floor before paying for a
+                # headroom sum or a table scan: a device whose remaining
+                # time is under the floor cannot yield a candidate, so
+                # skipping it never changes the chosen transition.
+                busy_until = device.busy_until
+                if (
+                    not device.healthy
+                    or busy_until <= now  # busy_devices(), inlined
+                    or device.accel_id in adjusted  # one transition per event
+                    or busy_until - now <= floors.get(device.point.freq_hz, 0.0)
+                ):
+                    continue
+                if headroom is None:
+                    headroom = cluster.headroom(now) - reserve_w
                 candidate = self._speed_up_candidate(device, now, headroom)
                 if candidate is None:
                     continue
@@ -220,6 +216,7 @@ class DVFSScheduler:
             adjusted.add(device.accel_id)
             transitions += 1
 
+    @hot_path
     def _speed_up_candidate(self, device: Accelerator, now: int, headroom: float):
         """Best single transition to a faster point for ``device``.
 
@@ -227,6 +224,8 @@ class DVFSScheduler:
         marginal PPW is usually negative (energy per op rises with V²);
         Algorithm 2 still commits — its goal is to spend the whole budget
         on speed — and the ranking picks the least costly candidate.
+        ``ppw_inc`` is :func:`~repro.core.ppw.ppw_increase`'s float
+        expression with the old-point term computed once per device.
         """
         record = device.current
         if record is None:
@@ -234,31 +233,48 @@ class DVFSScheduler:
         remaining = device.busy_until - now
         if remaining <= 0:
             return None
-        best = None
         freq = device.point.freq_hz
-        faster = self._faster.get(freq)
-        if faster is None:  # off-table point: fall back to a full filter
-            faster = tuple(p for p in self.table if p.freq_hz > freq)
-        cache = self._power_cache
-        for point in faster:
-            if device.cap_hz is not None and point.freq_hz > device.cap_hz + 1e-3:
+        activity = record.activity
+        batch = record.batch_size
+        table = self._candidates.get((freq, activity, batch))
+        if table is None:
+            table = self._candidate_table(device, freq, activity, batch)
+        cap = device.cap_hz
+        limit = _UNCAPPED if cap is None else cap + 1e-3
+        old_power = record.power_w
+        old_total = record.completion_time - record.issue_time
+        old_ppw = None
+        best = None
+        best_gain = 0.0
+        for point, point_freq, new_power in table:
+            if point_freq > limit:
                 break  # thermally throttled: nothing faster is programmable
-            new_remaining = round(remaining * freq / point.freq_hz)
+            if new_power - old_power > headroom:
+                # power_w never falls along a table (voltage rises with
+                # frequency), so no faster point fits either.
+                break
+            new_remaining = round(remaining * freq / point_freq)
             if DVFS_SWITCH_NS + new_remaining >= remaining:
                 continue  # the switch delay would eat the gain
-            key = (point.freq_hz, record.activity, record.batch_size)
-            new_power = cache.get(key)
-            if new_power is None:
-                new_power = cache[key] = device.power_model.power_w(
-                    point, record.activity, record.batch_size
-                )
-            if new_power - record.power_w > headroom:
-                continue
-            old_total = record.completion_time - record.issue_time
+            if old_ppw is None:
+                old_ppw = ppw(batch, old_total, old_power)
             new_total = old_total - remaining + DVFS_SWITCH_NS + new_remaining
-            gain = ppw_increase(
-                record.batch_size, old_total, record.power_w, new_total, new_power
-            )
-            if best is None or gain > best[3]:
+            gain = batch / ((new_total / 1e9) * new_power) - old_ppw
+            if best is None or gain > best_gain:
+                best_gain = gain
                 best = (point, new_remaining, new_power, gain)
         return best
+
+    def _candidate_table(
+        self, device: Accelerator, freq: float, activity: float, batch: int
+    ) -> _Candidates:
+        """Build and cache the faster points for a device at ``freq``
+        (off-table frequencies included) running (activity, batch)."""
+        power_w = device.power_model.power_w
+        table = tuple(
+            (point, point.freq_hz, power_w(point, activity, batch))
+            for point in self.table
+            if point.freq_hz > freq
+        )
+        self._candidates[(freq, activity, batch)] = table
+        return table
